@@ -21,13 +21,14 @@ if [[ "${1:-}" == "--coverage" ]]; then
   cmake --preset coverage >/dev/null
   cmake --build build-cov -j"$(nproc)" --target obs_test obs_golden_test \
     solver_differential_test sweep_determinism_test controller_test \
-    dynamics_test evaluator_test local_search_test hungarian_test nlp_test
+    dynamics_test evaluator_test local_search_test hungarian_test nlp_test \
+    greedy_differential_test
 
   echo "==> coverage: run the suites that exercise src/obs/"
   # Stale counters from previous runs poison the percentages.
   find build-cov -name '*.gcda' -delete
   ctest --test-dir build-cov --output-on-failure -R \
-    '^(obs_test|obs_golden_test|solver_differential_test|sweep_determinism_test|controller_test|dynamics_test|evaluator_test|local_search_test|hungarian_test|nlp_test)$'
+    '^(obs_test|obs_golden_test|solver_differential_test|sweep_determinism_test|controller_test|dynamics_test|evaluator_test|local_search_test|hungarian_test|nlp_test|greedy_differential_test)$'
 
   echo "==> coverage: gcov line coverage of src/obs/ (gate: >= 90%)"
   # CMake names the profile files after the object (metrics.cc.gcno), so a
@@ -113,8 +114,9 @@ echo "==> sanitize: configure + build (build-asan/, ASan+UBSan)"
 cmake --preset sanitize >/dev/null
 cmake --build build-asan -j"$(nproc)"
 
-echo "==> sanitize: ctest (includes the 100-seed chaos soak and the"
-echo "    200-seed x 3-sharing-mode joint differential suite)"
+echo "==> sanitize: ctest (includes the 100-seed chaos soak, the"
+echo "    200-seed x 3-sharing-mode joint differential suite and the"
+echo "    3600-case greedy differential suite)"
 ctest --test-dir build-asan --output-on-failure
 
 echo "==> storage-fault smoke: crash-point pass under ASan (strided)"

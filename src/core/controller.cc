@@ -498,9 +498,8 @@ std::vector<AssociationDirective> CentralController::RunPolicy(bool guard) {
     model::Assignment fallback = EvacuationFallback();
     // Both sides score under the committed channel plan (plan-free until a
     // kJoint epoch has been adopted).
-    const model::Evaluator eval(PlanEval(channel_plan_));
-    if (eval.AggregateThroughput(net_, proposed) + 1e-9 <
-        eval.AggregateThroughput(net_, fallback)) {
+    if (ScoreUnder(channel_plan_, proposed) + 1e-9 <
+        ScoreUnder(channel_plan_, fallback)) {
       proposed = std::move(fallback);
       if (obs::MetricsScope* s = obs::CurrentScope()) {
         s->ctrl.reopt_guard_trips.Add(1);
@@ -692,6 +691,13 @@ model::EvalOptions CentralController::PlanEval(
   return eval;
 }
 
+double CentralController::ScoreUnder(const std::vector<int>& plan,
+                                     const model::Assignment& assign) const {
+  return model::Evaluator(PlanEval(plan))
+      .Evaluate(net_, assign, eval_scratch_)
+      .aggregate_mbps;
+}
+
 void CentralController::SetJointMode(JointModeParams params) {
   if (params.num_channels < 0 || params.max_rounds < 0 ||
       !(params.carrier_sense_range_m > 0.0)) {
@@ -743,10 +749,8 @@ ReoptReport CentralController::Reoptimize(double budget_seconds) {
   // hold-last-good baseline. The candidate scores under the plan it would
   // commit, the baseline under the plan already committed (plan-free when
   // joint mode never adopted — identical to the pre-joint behaviour).
-  const model::Evaluator chosen_eval(PlanEval(chosen_plan));
-  const model::Evaluator base_eval(PlanEval(channel_plan_));
-  if (chosen_eval.AggregateThroughput(net_, chosen) + 1e-9 <
-      base_eval.AggregateThroughput(net_, evacuate)) {
+  if (ScoreUnder(chosen_plan, chosen) + 1e-9 <
+      ScoreUnder(channel_plan_, evacuate)) {
     chosen = evacuate;
     chosen_plan = channel_plan_;
     report.tier = ReoptTier::kHoldLastGood;
@@ -789,8 +793,7 @@ ReoptReport CentralController::ReoptimizeUpToTier(ReoptTier top) {
   model::Assignment chosen = evacuate;
   std::vector<int> chosen_plan = channel_plan_;
   report.tier = ReoptTier::kHoldLastGood;
-  const model::Evaluator base_eval(PlanEval(channel_plan_));
-  double best = base_eval.AggregateThroughput(net_, evacuate);
+  double best = ScoreUnder(channel_plan_, evacuate);
   for (ReoptTier tier : {ReoptTier::kGreedy, ReoptTier::kHungarianOnly,
                          ReoptTier::kFull, ReoptTier::kJoint}) {
     if (TierCost(tier) > TierCost(top)) break;
@@ -798,8 +801,7 @@ ReoptReport CentralController::ReoptimizeUpToTier(ReoptTier top) {
     model::Assignment proposed = SolveTier(tier, nullptr, before, evacuate);
     std::vector<int> plan =
         tier == ReoptTier::kJoint ? proposed_plan_ : channel_plan_;
-    const model::Evaluator eval(PlanEval(plan));
-    const double score = eval.AggregateThroughput(net_, proposed);
+    const double score = ScoreUnder(plan, proposed);
     if (score > best + 1e-9) {
       best = score;
       chosen = std::move(proposed);
@@ -842,10 +844,8 @@ ReoptReport CentralController::ReoptimizeAtTier(ReoptTier tier) {
                                                              : channel_plan_;
 
   // Same do-no-harm contract as the budgeted ladder.
-  const model::Evaluator chosen_eval(PlanEval(chosen_plan));
-  const model::Evaluator base_eval(PlanEval(channel_plan_));
-  if (chosen_eval.AggregateThroughput(net_, chosen) + 1e-9 <
-      base_eval.AggregateThroughput(net_, evacuate)) {
+  if (ScoreUnder(chosen_plan, chosen) + 1e-9 <
+      ScoreUnder(channel_plan_, evacuate)) {
     chosen = evacuate;
     chosen_plan = channel_plan_;
     report.tier = ReoptTier::kHoldLastGood;
@@ -953,8 +953,7 @@ double CentralController::CapacityAge(int extender) const {
 double CentralController::CurrentAggregate() const {
   // Under joint mode the committed channel plan is part of the physical
   // model: co-channel cells in range share airtime.
-  return model::Evaluator(PlanEval(channel_plan_))
-      .AggregateThroughput(net_, assignment_);
+  return ScoreUnder(channel_plan_, assignment_);
 }
 
 void CentralController::SaveState(std::string* out) const {

@@ -346,7 +346,8 @@ class CentralController {
   const std::vector<int>& ChannelPlan() const { return channel_plan_; }
 
   // Aggregate throughput of the current association under the physical
-  // evaluation model.
+  // evaluation model. Reuses the controller's evaluation scratch, so like
+  // every other member it must not run concurrently on one controller.
   double CurrentAggregate() const;
 
   // Crash-safe state snapshot: appends every field that affects future
@@ -390,6 +391,10 @@ class CentralController {
   // Scoring options under a channel plan: default EvalOptions with `plan`
   // installed as wifi_channel (empty plan = the plan-free physical model).
   model::EvalOptions PlanEval(const std::vector<int>& plan) const;
+  // Aggregate throughput of `assign` on net_ under PlanEval(plan),
+  // evaluated into the held scratch: bit-identical to a fresh Evaluator.
+  double ScoreUnder(const std::vector<int>& plan,
+                    const model::Assignment& assign) const;
   // guard=true (epoch reoptimization) arms the do-no-harm fallback check.
   std::vector<AssociationDirective> RunPolicy(bool guard = false);
   void RegisterDirective(const AssociationDirective& d);
@@ -420,6 +425,9 @@ class CentralController {
   JointModeParams joint_;
   std::vector<int> channel_plan_;   // committed plan; empty = none
   std::vector<int> proposed_plan_;  // SolveTier(kJoint) scratch output
+  // Evaluation workspace for ScoreUnder; its cached network view is keyed
+  // on (&net_, net_.Version()), so net_ mutations invalidate it.
+  mutable model::EvalScratch eval_scratch_;
 };
 
 }  // namespace wolt::core

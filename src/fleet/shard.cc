@@ -356,7 +356,9 @@ double ShardRuntime::TruthAggregate() const {
     }
     assign.Assign(i, static_cast<std::size_t>(client.extender));
   }
-  return model::Evaluator().AggregateThroughput(truth_, assign);
+  return model::Evaluator()
+      .Evaluate(truth_, assign, truth_scratch_)
+      .aggregate_mbps;
 }
 
 std::vector<int> ShardRuntime::ClientExtenders() const {

@@ -28,6 +28,7 @@
 #include "fault/plane.h"
 #include "fleet/queue.h"
 #include "fleet/supervisor.h"
+#include "model/evaluator.h"
 #include "model/network.h"
 
 namespace wolt::util {
@@ -139,7 +140,8 @@ class ShardRuntime {
   // Ground-truth aggregate throughput of what the clients are actually
   // doing (alive clients on their applied extenders, dead links excluded).
   // This is the do-no-harm observable: it is well-defined even while the
-  // controller is down or degraded.
+  // controller is down or degraded. Reuses a per-shard evaluation scratch:
+  // one caller at a time (the runtime's serial records phase).
   double TruthAggregate() const;
 
   // Applied extender per client slot (-1 = none/departed). The runtime
@@ -187,6 +189,9 @@ class ShardRuntime {
   std::uint64_t shard_key_;  // HashCombine64(fleet_seed, shard_id)
   ShardParams params_;
   model::Network truth_;
+  // TruthAggregate's evaluation workspace; its cached network view is keyed
+  // on (&truth_, truth_.Version()), which every SetPlcRate refreshes.
+  mutable model::EvalScratch truth_scratch_;
   std::vector<double> base_plc_;        // per extender, pre-chaos capacity
   std::vector<std::uint64_t> down_until_;  // per extender; 0 = up
   std::vector<Client> clients_;

@@ -258,6 +258,8 @@ IncrementalValues IncrementalEvaluator::PeekCells(const std::size_t* cells,
 void IncrementalEvaluator::RecomputeFallback() {
   const EvalResult& result = evaluator_.Evaluate(*net_, mirror_, scratch_);
   values_.aggregate_mbps = result.aggregate_mbps;
+  result_stale_ = false;
+  if (!track_log_) return;
   double logsum = 0.0;
   for (std::size_t i = 0; i < mirror_.NumUsers(); ++i) {
     if (!mirror_.IsAssigned(i)) continue;
@@ -265,7 +267,6 @@ void IncrementalEvaluator::RecomputeFallback() {
         std::log(std::max(result.user_throughput_mbps[i], log_floor_));
   }
   values_.log_utility = logsum;
-  result_stale_ = false;
 }
 
 double IncrementalEvaluator::UserThroughput(std::size_t user) {

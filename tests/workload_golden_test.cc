@@ -247,7 +247,9 @@ TEST(WorkloadGoldenTest, ByteSoupNeverCrashes) {
     std::string text(static_cast<std::size_t>(rng.UniformInt(0, 400)), '\0');
     for (char& c : text) c = static_cast<char>(rng.UniformInt(0, 255));
     const TraceLoadResult res = TraceFromStringDetailed(text);
-    if (!res.ok()) EXPECT_NE(res.error.kind, model::IoErrorKind::kNone);
+    if (!res.ok()) {
+      EXPECT_NE(res.error.kind, model::IoErrorKind::kNone);
+    }
   }
 }
 
