@@ -36,7 +36,10 @@ int main() {
       {65.0, 65.0}, {65.0, 26.0}, {52.0, 13.0, 6.5}, {39.0, 39.0, 19.5, 6.5}};
   for (const auto& mix : mixes) {
     std::string label;
-    for (double r : mix) label += (label.empty() ? "" : "/") + util::Fmt(r, 0);
+    for (double r : mix) {
+      if (!label.empty()) label += "/";
+      label += util::Fmt(r, 0);
+    }
     const double model = wifi::AnalyticCellThroughput(mix, dcf);
     const wifi::DcfResult sim = wifi::SimulateDcf(mix, 5.0, dcf, rng);
     wifi_table.AddRow({label, util::Fmt(model, 2),

@@ -5,6 +5,7 @@
 // throughput evaluator, and the Phase-II move-evaluation loop in isolation.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -72,13 +73,37 @@ model::Network MakeNetwork(std::size_t users, std::size_t extenders) {
   return gen.Generate(rng);
 }
 
+// MakeNetwork's floor and a twin with every WiFi and PLC rate scaled by
+// 1 + 1e-12. The twin is the same solve up to rounding, but every usable
+// Phase-I utility differs in its low bits, so a policy that alternates
+// between the two never gets a WoltPolicy Phase-I memo hit: the WOLT
+// families below time a full solve, Hungarian core included, on every
+// iteration.
+std::array<model::Network, 2> MakeTwinNetworks(std::size_t users,
+                                               std::size_t extenders) {
+  std::array<model::Network, 2> nets = {MakeNetwork(users, extenders),
+                                        MakeNetwork(users, extenders)};
+  constexpr double kScale = 1.0 + 1e-12;
+  model::Network& twin = nets[1];
+  for (std::size_t j = 0; j < twin.NumExtenders(); ++j) {
+    twin.SetPlcRate(j, twin.PlcRate(j) * kScale);
+    for (std::size_t i = 0; i < twin.NumUsers(); ++i) {
+      const double rate = twin.WifiRate(i, j);
+      if (rate > 0.0) twin.SetWifiRate(i, j, rate * kScale);
+    }
+  }
+  return nets;
+}
+
 void BM_WoltAssociate(benchmark::State& state) {
-  const model::Network net =
-      MakeNetwork(static_cast<std::size_t>(state.range(0)),
-                  static_cast<std::size_t>(state.range(1)));
+  const auto nets =
+      MakeTwinNetworks(static_cast<std::size_t>(state.range(0)),
+                       static_cast<std::size_t>(state.range(1)));
   core::WoltPolicy wolt;
+  std::size_t k = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wolt.AssociateFresh(net));
+    benchmark::DoNotOptimize(wolt.AssociateFresh(nets[k]));
+    k ^= 1;
   }
 }
 BENCHMARK(BM_WoltAssociate)
@@ -99,15 +124,17 @@ BENCHMARK(BM_WoltAssociate)
 // thread count, so only wall time may change (hence UseRealTime; CPU time
 // sums across workers).
 void BM_WoltAssociatePar(benchmark::State& state) {
-  const model::Network net =
-      MakeNetwork(static_cast<std::size_t>(state.range(0)),
-                  static_cast<std::size_t>(state.range(1)));
+  const auto nets =
+      MakeTwinNetworks(static_cast<std::size_t>(state.range(0)),
+                       static_cast<std::size_t>(state.range(1)));
   util::ThreadPool pool(static_cast<int>(state.range(2)));
   core::WoltOptions wo;
   wo.phase2_pool = &pool;
   core::WoltPolicy wolt(wo);
+  std::size_t k = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wolt.AssociateFresh(net));
+    benchmark::DoNotOptimize(wolt.AssociateFresh(nets[k]));
+    k ^= 1;
   }
 }
 BENCHMARK(BM_WoltAssociatePar)
@@ -129,15 +156,17 @@ BENCHMARK(BM_WoltAssociatePar)
 // (with WOLT_OBS=OFF the scope install is a no-op and the arms are
 // identical code).
 void BM_WoltAssociateObs(benchmark::State& state) {
-  const model::Network net =
-      MakeNetwork(static_cast<std::size_t>(state.range(0)),
-                  static_cast<std::size_t>(state.range(1)));
+  const auto nets =
+      MakeTwinNetworks(static_cast<std::size_t>(state.range(0)),
+                       static_cast<std::size_t>(state.range(1)));
   core::WoltPolicy wolt;
   obs::MetricsRegistry registry;
   std::optional<obs::ScopedMetrics> scoped;
   if (state.range(2) != 0) scoped.emplace(registry);
+  std::size_t k = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wolt.AssociateFresh(net));
+    benchmark::DoNotOptimize(wolt.AssociateFresh(nets[k]));
+    k ^= 1;
   }
   // Surface one counter as proof the hooks were live (the default WOLT
   // Phase II runs on the incremental evaluator, so Hungarian solves — one
@@ -155,13 +184,15 @@ BENCHMARK(BM_WoltAssociateObs)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_WoltSubsetAssociate(benchmark::State& state) {
-  const model::Network net =
-      MakeNetwork(static_cast<std::size_t>(state.range(0)), 15);
+  const auto nets =
+      MakeTwinNetworks(static_cast<std::size_t>(state.range(0)), 15);
   core::WoltOptions so;
   so.subset_search = true;
   core::WoltPolicy wolt(so);
+  std::size_t k = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wolt.AssociateFresh(net));
+    benchmark::DoNotOptimize(wolt.AssociateFresh(nets[k]));
+    k ^= 1;
   }
 }
 BENCHMARK(BM_WoltSubsetAssociate)->Arg(36)->Arg(124);

@@ -22,13 +22,13 @@ if [[ "${1:-}" == "--coverage" ]]; then
   cmake --build build-cov -j"$(nproc)" --target obs_test obs_golden_test \
     solver_differential_test sweep_determinism_test controller_test \
     dynamics_test evaluator_test local_search_test hungarian_test nlp_test \
-    greedy_differential_test
+    greedy_differential_test phase1_memo_test
 
   echo "==> coverage: run the suites that exercise src/obs/"
   # Stale counters from previous runs poison the percentages.
   find build-cov -name '*.gcda' -delete
   ctest --test-dir build-cov --output-on-failure -R \
-    '^(obs_test|obs_golden_test|solver_differential_test|sweep_determinism_test|controller_test|dynamics_test|evaluator_test|local_search_test|hungarian_test|nlp_test|greedy_differential_test)$'
+    '^(obs_test|obs_golden_test|solver_differential_test|sweep_determinism_test|controller_test|dynamics_test|evaluator_test|local_search_test|hungarian_test|nlp_test|greedy_differential_test|phase1_memo_test)$'
 
   echo "==> coverage: gcov line coverage of src/obs/ (gate: >= 90%)"
   # CMake names the profile files after the object (metrics.cc.gcno), so a
@@ -94,8 +94,9 @@ PY
   exit 0
 fi
 
-echo "==> tier-1: configure + build (build/)"
-cmake --preset default >/dev/null
+echo "==> tier-1: configure + build (build/, warnings are errors)"
+# The build is warning-clean; keep it that way (CMake >= 3.24 honours this).
+cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j"$(nproc)"
 
 echo "==> tier-1: ctest"

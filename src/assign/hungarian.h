@@ -37,6 +37,16 @@ class Matrix {
     }
   }
 
+  // Resize to rows x cols in place, reusing the buffer's capacity. The flat
+  // storage keeps its leading values (new trailing ones are 0.0), so after a
+  // shape change entries do not follow their (r, c) positions: for callers
+  // that rewrite every entry of a long-lived matrix.
+  void Reshape(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }

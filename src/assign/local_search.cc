@@ -59,16 +59,20 @@ struct SearchContext {
   // tested against inv_rate at scan time (inv > 0), so no U x E mask exists.
   std::vector<std::uint8_t> target_ok;
 
-  std::vector<double> inv_storage;
-  std::vector<int> cap_storage;
   // Column-major copy of inv_rate (inv_t[e * U + u]): the pairwise swap
   // stage reads two full extender columns per candidate cell, and the
   // transposed layout turns those scattered row gathers into reads from
-  // two cache-hot vectors. Rates never change during a search, so this is
-  // built once and shared read-only across all starts.
-  std::vector<double> inv_t;
+  // two cache-hot vectors. Null unless the caller asked for it (only the
+  // WiFi-sum relocation with swap moves reads it). Borrowed from the SoA
+  // view, which builds it once per network version, or built here.
+  const double* inv_t = nullptr;
 
-  SearchContext(const model::Network& net, const LocalSearchOptions& options)
+  std::vector<double> inv_storage;
+  std::vector<int> cap_storage;
+  std::vector<double> inv_t_storage;
+
+  SearchContext(const model::Network& net, const LocalSearchOptions& options,
+                bool with_columns)
       : num_users(net.NumUsers()),
         num_extenders(net.NumExtenders()),
         target_ok(num_extenders, 0) {
@@ -80,7 +84,7 @@ struct SearchContext {
     if (options.soa != nullptr && options.soa->Matches(net)) {
       inv_rate = options.soa->inv_rate.data();
       cap = options.soa->cap.data();
-      BuildTranspose();
+      if (with_columns) inv_t = options.soa->InvRateColumns();
       return;
     }
     inv_storage.assign(num_users * num_extenders, 0.0);
@@ -97,16 +101,9 @@ struct SearchContext {
     }
     inv_rate = inv_storage.data();
     cap = cap_storage.data();
-    BuildTranspose();
-  }
-
-  void BuildTranspose() {
-    inv_t.assign(num_users * num_extenders, 0.0);
-    for (std::size_t i = 0; i < num_users; ++i) {
-      const double* row = inv_rate + i * num_extenders;
-      for (std::size_t j = 0; j < num_extenders; ++j) {
-        inv_t[j * num_users + i] = row[j];
-      }
+    if (with_columns) {
+      model::TransposeInto(inv_rate, num_users, num_extenders, inv_t_storage);
+      inv_t = inv_t_storage.data();
     }
   }
 
@@ -114,7 +111,7 @@ struct SearchContext {
     return inv_rate + user * num_extenders;
   }
   const double* InvCol(std::size_t ext) const {
-    return inv_t.data() + ext * num_users;
+    return inv_t + ext * num_users;
   }
   bool Usable(std::size_t user, std::size_t ext) const {
     return inv_rate[user * num_extenders + ext] > 0.0 && target_ok[ext] != 0;
@@ -685,7 +682,7 @@ LocalSearchStats RelocateWifi(const SearchContext& ctx,
           pa = SwapDeltaResult{kInelig, 0, 0};
           if (n_cells == 0) return;
           pa = SwapDeltaPass(cells_s, n_cells, ws.load, ws.inv_sum, ws.thr,
-                             inv1, ctx.inv_t.data(), ctx.num_users, cell_mask,
+                             inv1, ctx.inv_t, ctx.num_users, cell_mask,
                              words, movable.data(), ctx.InvCol(x1),
                              ok[x1] != 0, base1, load1, thr1, start, d_all);
         };
@@ -945,6 +942,12 @@ LocalSearchStats RelocateInc(const SearchContext& ctx,
   return stats;
 }
 
+// Only the WiFi-sum relocation's pairwise swap stage reads the column-major
+// rate copy; every other search skips the transpose.
+bool ReadsColumns(const LocalSearchOptions& options) {
+  return options.objective == Phase2Objective::kWifiSum && options.swap_moves;
+}
+
 }  // namespace
 
 double Phase2Value(const model::Network& net, const model::Assignment& assign,
@@ -981,7 +984,7 @@ double Phase2Value(const model::Network& net, const model::Assignment& assign,
 void GreedyInsert(const model::Network& net, model::Assignment& assign,
                   const std::vector<std::size_t>& users,
                   const LocalSearchOptions& options) {
-  const SearchContext ctx(net, options);
+  const SearchContext ctx(net, options, /*with_columns=*/false);
   util::SolverArena local;
   util::SolverArena& arena = options.arena ? *options.arena : local;
   if (options.objective == Phase2Objective::kWifiSum) {
@@ -995,7 +998,7 @@ LocalSearchStats RelocateLocalSearch(const model::Network& net,
                                      model::Assignment& assign,
                                      const std::vector<std::size_t>& movable,
                                      const LocalSearchOptions& options) {
-  const SearchContext ctx(net, options);
+  const SearchContext ctx(net, options, ReadsColumns(options));
   util::SolverArena local;
   util::SolverArena& arena = options.arena ? *options.arena : local;
   if (options.objective == Phase2Objective::kWifiSum) {
@@ -1008,7 +1011,7 @@ double SolvePhase2MultiStart(const model::Network& net,
                              model::Assignment& assign,
                              const std::vector<std::size_t>& movable,
                              const LocalSearchOptions& options) {
-  const SearchContext ctx(net, options);
+  const SearchContext ctx(net, options, ReadsColumns(options));
   util::SolverArena local;
   util::SolverArena& arena = options.arena ? *options.arena : local;
 

@@ -47,16 +47,16 @@ namespace wolt::core {
 // Client -> CC: measurement report of a (new or existing) user.
 struct ScanReport {
   std::int64_t user_id = 0;
-  std::vector<double> rates_mbps;  // per extender; 0 = unreachable
-  std::vector<double> rssi_dbm;    // optional; empty or per extender
+  std::vector<double> rates_mbps{};  // per extender; 0 = unreachable
+  std::vector<double> rssi_dbm{};    // optional; empty or per extender
   // Optional: the extender the client is actually camped on (-1 = none).
   // Lets the CC reconcile its believed association against reality after
   // directives were lost on the wire.
-  std::optional<int> associated_extender;
+  std::optional<int> associated_extender{};
   // Optional: the client's current offered load in Mbit/s (0 = saturated).
   // Carried by dynamic workload traces so diurnal/bursty demand curves reach
   // the evaluator; absent = leave the user's stored demand untouched.
-  std::optional<double> demand_mbps;
+  std::optional<double> demand_mbps{};
 };
 
 // CC -> client: associate with this extender.

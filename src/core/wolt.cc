@@ -1,11 +1,13 @@
 #include "core/wolt.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
 #include "assign/hungarian.h"
 #include "assign/nlp.h"
+#include "obs/obs.h"
 
 namespace wolt::core {
 namespace {
@@ -19,6 +21,7 @@ bool MaskAllows(std::span<const std::uint8_t> mask, std::size_t ext) {
 std::vector<std::size_t> ServiceableExtenders(
     const model::Network& net, std::span<const std::uint8_t> mask) {
   std::vector<std::size_t> extenders;
+  extenders.reserve(net.NumExtenders());
   for (std::size_t j = 0; j < net.NumExtenders(); ++j) {
     if (!MaskAllows(mask, j)) continue;
     if (net.PlcRate(j) <= 0.0) continue;
@@ -104,14 +107,28 @@ Phase1Result WoltPolicy::ComputePhase1(
       extenders_are_rows ? extenders.size() : num_users;
   const std::size_t cols =
       extenders_are_rows ? num_users : extenders.size();
-  assign::Matrix utilities(rows, cols, 0.0);
+  // The fill overwrites the memo's matrix in place (every entry is
+  // written) and ORs together the bit differences against what it held.
+  // The memo is invalid from here until a hit or a complete solve, so an
+  // exception mid-call cannot leave a matching paired with the wrong matrix.
+  const bool was_valid = memo_valid_;
+  memo_valid_ = false;
+  assign::Matrix& utilities = memo_utilities_;
+  std::uint64_t changed =
+      utilities.rows() == rows && utilities.cols() == cols ? 0 : 1;
+  utilities.Reshape(rows, cols);
+  const auto store = [&changed](double& slot, double u) {
+    changed |= std::bit_cast<std::uint64_t>(slot) ^
+               std::bit_cast<std::uint64_t>(u);
+    slot = u;
+  };
   if (extenders_are_rows) {
     for (std::size_t c = 0; c < cols; ++c) {
       const double* rates = net.WifiRateRow(c);
       for (std::size_t r = 0; r < rows; ++r) {
         const double rate = rates[extenders[r]];
-        utilities(r, c) =
-            rate <= 0.0 ? assign::kForbidden : std::min(share[r], rate);
+        store(utilities(r, c),
+              rate <= 0.0 ? assign::kForbidden : std::min(share[r], rate));
       }
     }
   } else {
@@ -120,18 +137,35 @@ Phase1Result WoltPolicy::ComputePhase1(
       double* out = utilities.Row(r);
       for (std::size_t c = 0; c < cols; ++c) {
         const double rate = rates[extenders[c]];
-        out[c] = rate <= 0.0 ? assign::kForbidden : std::min(share[c], rate);
+        store(out[c],
+              rate <= 0.0 ? assign::kForbidden : std::min(share[c], rate));
       }
     }
   }
 
-  const assign::HungarianResult hungarian =
-      assign::SolveAssignmentMax(utilities, deadline_, &arena_);
+  // Memo hit: the stored matching belongs to a bit-identical matrix. Rows
+  // and columns are mapped back through this call's own extender list and
+  // orientation below, so neither needs to be part of the key. An
+  // already-expired deadline bypasses the memo, so the solver truncates
+  // exactly as it would without one.
+  const bool unchanged = was_valid && changed == 0;
+  const bool hit = unchanged && !util::DeadlineExpired(deadline_);
+  assign::HungarianResult hungarian;
+  if (hit) {
+    if (obs::MetricsScope* s = obs::CurrentScope()) {
+      s->solver.phase1_memo_hits.Add(1);
+    }
+  } else {
+    hungarian = assign::SolveAssignmentMax(utilities, deadline_, &arena_);
+  }
+  const std::vector<int>& col_of_row =
+      hit ? memo_col_of_row_ : hungarian.col_of_row;
   result.deadline_hit = hungarian.deadline_hit;
   result.total_utility = 0.0;
+  result.u1_users.reserve(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    if (hungarian.col_of_row[r] < 0) continue;  // deadline-truncated row
-    const std::size_t c = static_cast<std::size_t>(hungarian.col_of_row[r]);
+    if (col_of_row[r] < 0) continue;  // deadline-truncated row
+    const std::size_t c = static_cast<std::size_t>(col_of_row[r]);
     const std::size_t user = extenders_are_rows ? c : r;
     const std::size_t ext = extenders_are_rows ? extenders[r] : extenders[c];
     if (net.WifiRate(user, ext) <= 0.0) continue;  // forbidden fallback pick
@@ -139,6 +173,13 @@ Phase1Result WoltPolicy::ComputePhase1(
     result.u1_users.push_back(user);
     result.total_utility += utility(user, ext);
   }
+  // The matrix now holds this call's input. An unchanged matrix keeps its
+  // stored matching (a bypassed solve may have been truncated); a changed
+  // one is stored only if its solve ran to completion.
+  if (!unchanged && !hungarian.deadline_hit) {
+    memo_col_of_row_.swap(hungarian.col_of_row);
+  }
+  memo_valid_ = unchanged || !hungarian.deadline_hit;
   std::sort(result.u1_users.begin(), result.u1_users.end());
   return result;
 }

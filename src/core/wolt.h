@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "assign/hungarian.h"
 #include "assign/joint.h"
 #include "assign/local_search.h"
 #include "core/policy.h"
@@ -112,6 +113,19 @@ class WoltPolicy : public AssociationPolicy {
                                           const model::Assignment& previous);
 
   WoltOptions options_;
+
+  // Exact Phase-I memo. On a floor where the PLC share c_j/|A| sits below
+  // most WiFi rates, u_ij is clamped to the share, so a scan that moves one
+  // user a few metres usually leaves the whole utility matrix bit-identical.
+  // The key is the Hungarian solve's entire input, the utility matrix; the
+  // value is its complete matching, a deterministic function of that
+  // matrix. Phase I fills the matrix in place over the previous one and
+  // notes whether any bit changed, so the memo costs no second matrix and
+  // no separate compare pass. `memo_valid_` is false until a solve of the
+  // held matrix has run to completion: truncated solves are never stored.
+  mutable assign::Matrix memo_utilities_;
+  mutable std::vector<int> memo_col_of_row_;
+  mutable bool memo_valid_ = false;
 
   // Solve-lifetime scratch, retained across Associate calls so repeated
   // solves run allocation-free in steady state. `arena_` is reset at the

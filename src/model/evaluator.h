@@ -58,7 +58,7 @@ struct EvalOptions {
   // domain id per extender, e.g. from wifi::ContentionDomains), active
   // cells sharing a domain time-share the air: each cell's WiFi throughput
   // is divided by the number of active cells in its domain.
-  std::vector<int> wifi_contention_domain;
+  std::vector<int> wifi_contention_domain{};
   // Channel-plan mode: one channel index per extender (>= 0). Contention
   // domains are *derived* — connected components of the "same channel AND
   // within carrier_sense_range_m" graph over extender positions — then fed
@@ -67,7 +67,7 @@ struct EvalOptions {
   // in carrier-sense range (in particular, any all-distinct plan) yields
   // singleton domains and is bit-identical to the legacy evaluator.
   // Mutually exclusive with wifi_contention_domain.
-  std::vector<int> wifi_channel;
+  std::vector<int> wifi_channel{};
   // Carrier-sense range for deriving co-channel contention from geometry.
   double carrier_sense_range_m = 60.0;
 };

@@ -9,6 +9,7 @@ bool NetworkSoA::Refresh(const Network& net) {
   source_ = &net;
   version_ = net.Version();
   built_ = true;
+  transposed_ = false;
 
   num_users = net.NumUsers();
   num_extenders = net.NumExtenders();
@@ -60,6 +61,25 @@ bool NetworkSoA::Refresh(const Network& net) {
         static_cast<int>(j);
   }
   return true;
+}
+
+const double* NetworkSoA::InvRateColumns() const {
+  if (!transposed_) {
+    TransposeInto(inv_rate.data(), num_users, num_extenders, inv_rate_t_);
+    transposed_ = true;
+  }
+  return inv_rate_t_.data();
+}
+
+void TransposeInto(const double* rows, std::size_t num_rows,
+                   std::size_t num_cols, std::vector<double>& out) {
+  out.resize(num_rows * num_cols);
+  for (std::size_t i = 0; i < num_rows; ++i) {
+    const double* row = rows + i * num_cols;
+    for (std::size_t j = 0; j < num_cols; ++j) {
+      out[j * num_rows + i] = row[j];
+    }
+  }
 }
 
 }  // namespace wolt::model

@@ -60,10 +60,23 @@ struct NetworkSoA {
     return inv_rate.data() + user * num_extenders;
   }
 
+  // Column-major copy of inv_rate ([extender][user]), built on the first
+  // call per version: only the local search's pairwise swap stage reads it,
+  // so evaluator-only users never pay for the transpose. Not thread-safe on
+  // its first call per version; call it before sharing the view.
+  const double* InvRateColumns() const;
+
  private:
   const Network* source_ = nullptr;
   std::uint64_t version_ = 0;
   bool built_ = false;
+  mutable std::vector<double> inv_rate_t_;
+  mutable bool transposed_ = false;
 };
+
+// Writes the column-major copy of the row-major num_rows x num_cols matrix
+// `rows` into `out` (out[c * num_rows + r] = rows[r * num_cols + c]).
+void TransposeInto(const double* rows, std::size_t num_rows,
+                   std::size_t num_cols, std::vector<double>& out);
 
 }  // namespace wolt::model

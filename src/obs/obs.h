@@ -59,6 +59,9 @@ struct SolverCounters {
   explicit SolverCounters(MetricsRegistry& r);
   Counter& hungarian_solves;
   Counter& hungarian_augment_steps;
+  // WOLT Phase-I solves answered from the policy's exact memo (no Hungarian
+  // run, so they add nothing to hungarian_solves).
+  Counter& phase1_memo_hits;
 
   // Candidate accounting for the relocation and swap stages. Invariant
   // (asserted per-instance by tests/solver_differential_test.cc): every
@@ -276,11 +279,12 @@ struct EvalCounters {
       bottleneck_balanced, bottleneck_idle, dead_backhaul, maxmin_rounds;
 };
 struct SolverCounters {
-  NoopCounter hungarian_solves, hungarian_augment_steps, relocate_generated,
-      relocate_pruned, relocate_evaluated, relocate_accepted, swap_generated,
-      swap_pruned, swap_evaluated, swap_accepted, ls_passes, ls_memo_skips,
-      ls_inserts, nlp_solves, nlp_iterations, nlp_backtracks, arena_grows,
-      arena_block_bytes, ls_starts, ls_parallel_starts;
+  NoopCounter hungarian_solves, hungarian_augment_steps, phase1_memo_hits,
+      relocate_generated, relocate_pruned, relocate_evaluated,
+      relocate_accepted, swap_generated, swap_pruned, swap_evaluated,
+      swap_accepted, ls_passes, ls_memo_skips, ls_inserts, nlp_solves,
+      nlp_iterations, nlp_backtracks, arena_grows, arena_block_bytes,
+      ls_starts, ls_parallel_starts;
 };
 struct ControllerCounters {
   NoopCounter directives_sent, directives_retried, directives_given_up,

@@ -36,11 +36,11 @@ struct SweepOptions {
   std::size_t chunk = 0;
   // Evaluation options shared by every task; plc_sharing is overridden by
   // the task's sharing-axis value.
-  model::EvalOptions eval;
+  model::EvalOptions eval{};
   // Test hook, called on the executing thread immediately before each task
   // body runs. Used by the determinism test to perturb completion order;
   // must not touch engine state.
-  std::function<void(std::size_t)> before_task;
+  std::function<void(std::size_t)> before_task{};
   // Collect structured metrics: each task runs under its own
   // obs::MetricsRegistry (solver/evaluator hooks feed it), snapshots land in
   // TaskResult::metrics, and SweepResult::metrics is their fold in
@@ -54,7 +54,7 @@ struct SweepOptions {
   // already journaled are restored verbatim (their bodies never re-run, the
   // before_task hook is not called for them) and the merged output is
   // byte-identical to an uninterrupted run at any thread count.
-  std::string journal_path;
+  std::string journal_path{};
   // Resume from an existing journal at journal_path. An unreadable or empty
   // journal restarts the sweep fresh (with a stderr warning) — a half-dead
   // journal must never stop the run itself. Run still throws
@@ -70,7 +70,7 @@ struct SweepOptions {
   // Test hook: called after the Nth journal append has been flushed. The
   // crash harness SIGKILLs itself in here to die at an exact journal
   // position.
-  std::function<void(std::size_t)> after_journal_append;
+  std::function<void(std::size_t)> after_journal_append{};
   // Storage backend for the journal; nullptr = the real filesystem. The
   // fault-injection harness (src/fault/storage.h) substitutes a FaultVfs.
   io::Vfs* vfs = nullptr;

@@ -93,7 +93,9 @@ TEST(FleetQueue, TieBreaksTowardLowestShardId) {
 TEST(FleetQueue, SaveRestoreRoundTripsBitExact) {
   BoundedFleetQueue q(/*capacity=*/3, /*num_shards=*/2);
   for (int i = 0; i < 6; ++i) {
-    q.Push(Msg(i % 2, fault::MessageClass::kScan, "m" + std::to_string(i)));
+    std::string payload = "m";
+    payload += std::to_string(i);
+    q.Push(Msg(i % 2, fault::MessageClass::kScan, payload));
   }
   q.Drain(0, 1);
   std::string blob;
