@@ -76,9 +76,9 @@ model::Network MakeNetwork(std::size_t users, std::size_t extenders) {
 // MakeNetwork's floor and a twin with every WiFi and PLC rate scaled by
 // 1 + 1e-12. The twin is the same solve up to rounding, but every usable
 // Phase-I utility differs in its low bits, so a policy that alternates
-// between the two never gets a WoltPolicy Phase-I memo hit: the WOLT
-// families below time a full solve, Hungarian core included, on every
-// iteration.
+// between the two never gets a hit from either of WoltPolicy's one-slot
+// memos (Phase I or the whole solve): the WOLT families below time a full
+// solve, Hungarian core included, on every iteration.
 std::array<model::Network, 2> MakeTwinNetworks(std::size_t users,
                                                std::size_t extenders) {
   std::array<model::Network, 2> nets = {MakeNetwork(users, extenders),

@@ -22,13 +22,14 @@ if [[ "${1:-}" == "--coverage" ]]; then
   cmake --build build-cov -j"$(nproc)" --target obs_test obs_golden_test \
     solver_differential_test sweep_determinism_test controller_test \
     dynamics_test evaluator_test local_search_test hungarian_test nlp_test \
-    greedy_differential_test phase1_memo_test
+    greedy_differential_test phase1_memo_test solve_memo_test \
+    codec_differential_test
 
   echo "==> coverage: run the suites that exercise src/obs/"
   # Stale counters from previous runs poison the percentages.
   find build-cov -name '*.gcda' -delete
   ctest --test-dir build-cov --output-on-failure -R \
-    '^(obs_test|obs_golden_test|solver_differential_test|sweep_determinism_test|controller_test|dynamics_test|evaluator_test|local_search_test|hungarian_test|nlp_test|greedy_differential_test|phase1_memo_test)$'
+    '^(obs_test|obs_golden_test|solver_differential_test|sweep_determinism_test|controller_test|dynamics_test|evaluator_test|local_search_test|hungarian_test|nlp_test|greedy_differential_test|phase1_memo_test|solve_memo_test|codec_differential_test)$'
 
   echo "==> coverage: gcov line coverage of src/obs/ (gate: >= 90%)"
   # CMake names the profile files after the object (metrics.cc.gcno), so a
@@ -111,8 +112,9 @@ echo "==> storage-fault smoke: exhaustive crash-point harness (default build)"
 ./build/tests/storage_crash_test \
     --gtest_filter='StorageCrashSweep.*:StorageCrashFleet.*'
 
-echo "==> sanitize: configure + build (build-asan/, ASan+UBSan)"
-cmake --preset sanitize >/dev/null
+echo "==> sanitize: configure + build (build-asan/, ASan+UBSan, warnings are errors)"
+# GCC 12 warns differently with the sanitizers on; this lane gates those too.
+cmake --preset sanitize -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build-asan -j"$(nproc)"
 
 echo "==> sanitize: ctest (includes the 100-seed chaos soak, the"

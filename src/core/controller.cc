@@ -1,12 +1,14 @@
 #include "core/controller.h"
 
 #include <algorithm>
+#include <array>
+#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <initializer_list>
+#include <cstdlib>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "assign/joint.h"
@@ -21,51 +23,131 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-std::string JoinDoubles(const std::vector<double>& xs) {
-  std::string out;
-  char buf[64];
+// --- Wire codec ----------------------------------------------------------
+//
+// No allocation beyond the messages' own strings and vectors: lines are
+// split in place through std::string_view, numbers are read with
+// std::from_chars and written with std::to_chars. The accept set and the
+// bytes are those of the C-library rules they replace (istream word
+// splitting, strict strtod/strtoll, printf "%g");
+// tests/codec_differential_test.cc holds those rules as the reference and
+// compares the two.
+
+// Appends `value` exactly as printf("%g") writes it: to_chars in the
+// general format at precision 6 is specified as %.6g.
+void AppendDouble(std::string& out, double value) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value,
+                                    std::chars_format::general, 6);
+  out.append(buf, result.ptr);
+}
+
+void AppendInt(std::string& out, std::int64_t value) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out.append(buf, result.ptr);
+}
+
+void AppendDoubles(std::string& out, const std::vector<double>& xs) {
   for (std::size_t k = 0; k < xs.size(); ++k) {
     if (k) out += ',';
-    std::snprintf(buf, sizeof(buf), "%g", xs[k]);
-    out += buf;
+    AppendDouble(out, xs[k]);
   }
-  return out;
+}
+
+// The whitespace set of the "C" locale, which words are split on.
+bool IsWireSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+// The next whitespace-delimited word of `*rest` (empty at the end of the
+// line); `*rest` advances past it.
+std::string_view NextWord(std::string_view* rest) {
+  std::size_t begin = 0;
+  while (begin < rest->size() && IsWireSpace((*rest)[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < rest->size() && !IsWireSpace((*rest)[end])) ++end;
+  const std::string_view word = rest->substr(begin, end - begin);
+  rest->remove_prefix(end);
+  return word;
+}
+
+// Splits "TYPE key=value ..." into the values of `keys`, slot by slot; a
+// key that does not occur leaves its slot empty. The wrong type word, a
+// token without '=', a duplicate key (a spliced or corrupted line, not a
+// last-writer-wins merge) and an unknown or empty key (trailing garbage in
+// disguise, not a forward-compatible extension) reject the line.
+template <std::size_t N>
+bool SplitFields(std::string_view line, std::string_view type,
+                 const std::array<std::string_view, N>& keys,
+                 std::array<std::optional<std::string_view>, N>* values) {
+  if (NextWord(&line) != type) return false;
+  for (std::string_view token = NextWord(&line); !token.empty();
+       token = NextWord(&line)) {
+    const std::size_t eq = token.find('=');
+    if (eq == std::string_view::npos) return false;
+    std::size_t k = 0;
+    while (k < N && keys[k] != token.substr(0, eq)) ++k;
+    if (k == N || (*values)[k]) return false;
+    (*values)[k] = token.substr(eq + 1);
+  }
+  return true;
 }
 
 // Strict numeric parsers: the whole token must be consumed and the value
-// must be finite. std::stod/stoll accept trailing garbage ("12abc" -> 12)
-// and throw on overflow; both are wire faults here, so wrap and check.
-std::optional<double> ParseDouble(const std::string& s) {
-  // Whitelist plain decimal syntax first: stod also accepts hex floats
+// must be finite. from_chars answers every token it accepts outright; any
+// other token (a leading '+', which from_chars does not take, an
+// out-of-range or near-zero result, where strtod's ERANGE decides, and
+// every reject) falls through to the C-library rule, so the accept set is
+// exactly that of strtod/strtoll.
+std::optional<double> StrtodWhole(std::string_view s) {
+  const std::string text(s);  // NUL-terminated; short tokens stay in SSO
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (errno == ERANGE || end != text.c_str() + text.size() ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<std::int64_t> StrtollWhole(std::string_view s) {
+  const std::string text(s);
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (errno == ERANGE || end != text.c_str() + text.size()) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(value);
+}
+
+std::optional<double> ParseDouble(std::string_view s) {
+  // Whitelist plain decimal syntax first: strtod also accepts hex floats
   // ("0x10"), leading whitespace and nan/inf spellings, none of which are
   // legal on this wire.
   if (s.empty() ||
-      s.find_first_not_of("0123456789.+-eE") != std::string::npos) {
+      s.find_first_not_of("0123456789.+-eE") != std::string_view::npos) {
     return std::nullopt;
   }
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(s, &consumed);
-    if (consumed != s.size() || !std::isfinite(value)) return std::nullopt;
+  double value = 0.0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  // Results at or below the smallest normal can underflow in strtod.
+  if (ec == std::errc{} && end == s.data() + s.size() &&
+      std::fabs(value) > std::numeric_limits<double>::min()) {
     return value;
-  } catch (const std::exception&) {
-    return std::nullopt;
   }
+  return StrtodWhole(s);
 }
 
-std::optional<std::int64_t> ParseInt64(const std::string& s) {
+std::optional<std::int64_t> ParseInt64(std::string_view s) {
   if (s.empty()) return std::nullopt;
-  try {
-    std::size_t consumed = 0;
-    const long long value = std::stoll(s, &consumed);
-    if (consumed != s.size()) return std::nullopt;
-    return static_cast<std::int64_t>(value);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  std::int64_t value = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec == std::errc{} && end == s.data() + s.size()) return value;
+  return StrtollWhole(s);
 }
 
-std::optional<int> ParseInt(const std::string& s) {
+std::optional<int> ParseInt(std::string_view s) {
   const auto wide = ParseInt64(s);
   if (!wide || *wide < std::numeric_limits<int>::min() ||
       *wide > std::numeric_limits<int>::max()) {
@@ -74,55 +156,50 @@ std::optional<int> ParseInt(const std::string& s) {
   return static_cast<int>(*wide);
 }
 
-std::optional<std::vector<double>> ParseDoubles(const std::string& csv) {
-  if (!csv.empty() && csv.back() == ',') return std::nullopt;
-  std::vector<double> out;
-  std::istringstream in(csv);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const auto value = ParseDouble(item);
-    if (!value) return std::nullopt;
-    out.push_back(*value);
+// A comma-separated list of at least one double; an empty item (from a
+// leading, doubled or trailing comma) rejects the list.
+bool ParseDoubles(std::string_view csv, std::vector<double>* out) {
+  out->reserve(static_cast<std::size_t>(
+      std::count(csv.begin(), csv.end(), ',') + 1));
+  while (true) {
+    const std::size_t comma = csv.find(',');
+    const auto value = ParseDouble(csv.substr(0, comma));
+    if (!value) return false;
+    out->push_back(*value);
+    if (comma == std::string_view::npos) return true;
+    csv.remove_prefix(comma + 1);
   }
-  if (out.empty()) return std::nullopt;  // "rates=" carries no measurement
-  return out;
-}
-
-// Splits "key=value" tokens of a message line after the type word.
-// Duplicate keys are a wire fault (a spliced/corrupted line), not a
-// last-writer-wins merge.
-std::optional<std::unordered_map<std::string, std::string>> ParseFields(
-    const std::string& line, const std::string& expected_type) {
-  std::istringstream in(line);
-  std::string type;
-  if (!(in >> type) || type != expected_type) return std::nullopt;
-  std::unordered_map<std::string, std::string> fields;
-  std::string token;
-  while (in >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) return std::nullopt;
-    if (!fields.emplace(token.substr(0, eq), token.substr(eq + 1)).second) {
-      return std::nullopt;
-    }
-  }
-  return fields;
-}
-
-// Unknown keys are trailing garbage in disguise (a corrupted or spliced
-// line), not forward-compatible extensions.
-bool OnlyKeys(const std::unordered_map<std::string, std::string>& fields,
-              std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : fields) {
-    (void)value;
-    bool known = false;
-    for (const char* a : allowed) known = known || key == a;
-    if (!known) return false;
-  }
-  return true;
 }
 
 bool AllNonNegative(const std::vector<double>& xs) {
   return std::all_of(xs.begin(), xs.end(), [](double x) { return x >= 0.0; });
+}
+
+// "<TYPE> user=<id> extender=<ext>", the shape of DIRECTIVE and ACK.
+std::string EncodeUserExtender(std::string_view type, std::int64_t user,
+                               int extender) {
+  std::string out;
+  out.reserve(64);
+  out += type;
+  out += " user=";
+  AppendInt(out, user);
+  out += " extender=";
+  AppendInt(out, extender);
+  return out;
+}
+
+// Decodes the user and extender of a DIRECTIVE or ACK line.
+std::optional<std::pair<std::int64_t, int>> DecodeUserExtender(
+    std::string_view line, std::string_view type) {
+  std::array<std::optional<std::string_view>, 2> f;
+  if (!SplitFields<2>(line, type, {"user", "extender"}, &f) || !f[0] ||
+      !f[1]) {
+    return std::nullopt;
+  }
+  const auto user = ParseInt64(*f[0]);
+  const auto extender = ParseInt(*f[1]);
+  if (!user || !extender || *extender < 0) return std::nullopt;
+  return std::pair{*user, *extender};
 }
 
 }  // namespace
@@ -208,66 +285,78 @@ ReoptTier TierForBudgetUnits(int units, bool joint_enabled) {
 }
 
 std::string Encode(const ScanReport& msg) {
-  std::string out = "SCAN user=" + std::to_string(msg.user_id) +
-                    " rates=" + JoinDoubles(msg.rates_mbps);
-  if (!msg.rssi_dbm.empty()) out += " rssi=" + JoinDoubles(msg.rssi_dbm);
+  std::string out;
+  out.reserve(48 + 14 * (msg.rates_mbps.size() + msg.rssi_dbm.size()));
+  out += "SCAN user=";
+  AppendInt(out, msg.user_id);
+  out += " rates=";
+  AppendDoubles(out, msg.rates_mbps);
+  if (!msg.rssi_dbm.empty()) {
+    out += " rssi=";
+    AppendDoubles(out, msg.rssi_dbm);
+  }
   if (msg.associated_extender) {
-    out += " assoc=" + std::to_string(*msg.associated_extender);
+    out += " assoc=";
+    AppendInt(out, *msg.associated_extender);
   }
   if (msg.demand_mbps) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%g", *msg.demand_mbps);
     out += " demand=";
-    out += buf;
+    AppendDouble(out, *msg.demand_mbps);
   }
   return out;
 }
 
 std::string Encode(const AssociationDirective& msg) {
-  return "DIRECTIVE user=" + std::to_string(msg.user_id) +
-         " extender=" + std::to_string(msg.extender);
+  return EncodeUserExtender("DIRECTIVE", msg.user_id, msg.extender);
 }
 
 std::string Encode(const DirectiveAck& msg) {
-  return "ACK user=" + std::to_string(msg.user_id) +
-         " extender=" + std::to_string(msg.extender);
+  return EncodeUserExtender("ACK", msg.user_id, msg.extender);
 }
 
 std::string Encode(const DepartureNotice& msg) {
-  return "DEPART user=" + std::to_string(msg.user_id);
+  std::string out = "DEPART user=";
+  AppendInt(out, msg.user_id);
+  return out;
 }
 
 std::string Encode(const CapacityReport& msg) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", msg.capacity_mbps);
-  return "CAPACITY extender=" + std::to_string(msg.extender) + " mbps=" + buf;
+  std::string out;
+  out.reserve(48);
+  out += "CAPACITY extender=";
+  AppendInt(out, msg.extender);
+  out += " mbps=";
+  AppendDouble(out, msg.capacity_mbps);
+  return out;
 }
 
 std::optional<ScanReport> DecodeScanReport(const std::string& line) {
-  const auto fields = ParseFields(line, "SCAN");
-  if (!fields || !fields->count("user") || !fields->count("rates") ||
-      !OnlyKeys(*fields, {"user", "rates", "rssi", "assoc", "demand"})) {
+  // Slots: user, rates, rssi, assoc, demand.
+  std::array<std::optional<std::string_view>, 5> f;
+  if (!SplitFields<5>(line, "SCAN",
+                      {"user", "rates", "rssi", "assoc", "demand"}, &f) ||
+      !f[0] || !f[1]) {
     return std::nullopt;
   }
   ScanReport msg;
-  const auto user = ParseInt64(fields->at("user"));
+  const auto user = ParseInt64(*f[0]);
   if (!user) return std::nullopt;
   msg.user_id = *user;
-  const auto rates = ParseDoubles(fields->at("rates"));
-  if (!rates || !AllNonNegative(*rates)) return std::nullopt;
-  msg.rates_mbps = *rates;
-  if (fields->count("rssi")) {
-    const auto rssi = ParseDoubles(fields->at("rssi"));
-    if (!rssi || rssi->size() != msg.rates_mbps.size()) return std::nullopt;
-    msg.rssi_dbm = *rssi;
+  if (!ParseDoubles(*f[1], &msg.rates_mbps) ||
+      !AllNonNegative(msg.rates_mbps)) {
+    return std::nullopt;
   }
-  if (fields->count("assoc")) {
-    const auto assoc = ParseInt(fields->at("assoc"));
+  if (f[2] && (!ParseDoubles(*f[2], &msg.rssi_dbm) ||
+               msg.rssi_dbm.size() != msg.rates_mbps.size())) {
+    return std::nullopt;
+  }
+  if (f[3]) {
+    const auto assoc = ParseInt(*f[3]);
     if (!assoc || *assoc < -1) return std::nullopt;
     msg.associated_extender = *assoc;
   }
-  if (fields->count("demand")) {
-    const auto demand = ParseDouble(fields->at("demand"));
+  if (f[4]) {
+    const auto demand = ParseDouble(*f[4]);
     if (!demand || *demand < 0.0) return std::nullopt;
     msg.demand_mbps = *demand;
   }
@@ -276,47 +365,35 @@ std::optional<ScanReport> DecodeScanReport(const std::string& line) {
 
 std::optional<AssociationDirective> DecodeAssociationDirective(
     const std::string& line) {
-  const auto fields = ParseFields(line, "DIRECTIVE");
-  if (!fields || !fields->count("user") || !fields->count("extender") ||
-      !OnlyKeys(*fields, {"user", "extender"})) {
-    return std::nullopt;
-  }
-  const auto user = ParseInt64(fields->at("user"));
-  const auto extender = ParseInt(fields->at("extender"));
-  if (!user || !extender || *extender < 0) return std::nullopt;
-  return AssociationDirective{*user, *extender};
+  const auto fields = DecodeUserExtender(line, "DIRECTIVE");
+  if (!fields) return std::nullopt;
+  return AssociationDirective{fields->first, fields->second};
 }
 
 std::optional<DirectiveAck> DecodeDirectiveAck(const std::string& line) {
-  const auto fields = ParseFields(line, "ACK");
-  if (!fields || !fields->count("user") || !fields->count("extender") ||
-      !OnlyKeys(*fields, {"user", "extender"})) {
-    return std::nullopt;
-  }
-  const auto user = ParseInt64(fields->at("user"));
-  const auto extender = ParseInt(fields->at("extender"));
-  if (!user || !extender || *extender < 0) return std::nullopt;
-  return DirectiveAck{*user, *extender};
+  const auto fields = DecodeUserExtender(line, "ACK");
+  if (!fields) return std::nullopt;
+  return DirectiveAck{fields->first, fields->second};
 }
 
 std::optional<DepartureNotice> DecodeDepartureNotice(const std::string& line) {
-  const auto fields = ParseFields(line, "DEPART");
-  if (!fields || !fields->count("user") || !OnlyKeys(*fields, {"user"})) {
+  std::array<std::optional<std::string_view>, 1> f;
+  if (!SplitFields<1>(line, "DEPART", {"user"}, &f) || !f[0]) {
     return std::nullopt;
   }
-  const auto user = ParseInt64(fields->at("user"));
+  const auto user = ParseInt64(*f[0]);
   if (!user) return std::nullopt;
   return DepartureNotice{*user};
 }
 
 std::optional<CapacityReport> DecodeCapacityReport(const std::string& line) {
-  const auto fields = ParseFields(line, "CAPACITY");
-  if (!fields || !fields->count("extender") || !fields->count("mbps") ||
-      !OnlyKeys(*fields, {"extender", "mbps"})) {
+  std::array<std::optional<std::string_view>, 2> f;
+  if (!SplitFields<2>(line, "CAPACITY", {"extender", "mbps"}, &f) || !f[0] ||
+      !f[1]) {
     return std::nullopt;
   }
-  const auto extender = ParseInt(fields->at("extender"));
-  const auto mbps = ParseDouble(fields->at("mbps"));
+  const auto extender = ParseInt(*f[0]);
+  const auto mbps = ParseDouble(*f[1]);
   if (!extender || *extender < 0 || !mbps || *mbps < 0.0) return std::nullopt;
   return CapacityReport{*extender, *mbps};
 }
@@ -469,14 +546,15 @@ model::Assignment CentralController::EvacuationFallback() const {
 
 std::vector<AssociationDirective> CentralController::DiffAndRegister(
     const model::Assignment& before, model::Assignment proposed) {
-  assignment_ = std::move(proposed);
+  // Diff before adopting: `before` may be assignment_ itself.
   std::vector<AssociationDirective> directives;
   for (std::size_t i = 0; i < net_.NumUsers(); ++i) {
-    if (assignment_.IsAssigned(i) &&
-        assignment_.ExtenderOf(i) != before.ExtenderOf(i)) {
-      directives.push_back({id_of_index_[i], assignment_.ExtenderOf(i)});
+    if (proposed.IsAssigned(i) &&
+        proposed.ExtenderOf(i) != before.ExtenderOf(i)) {
+      directives.push_back({id_of_index_[i], proposed.ExtenderOf(i)});
     }
   }
+  assignment_ = std::move(proposed);
   for (const auto& d : directives) RegisterDirective(d);
   return directives;
 }
@@ -485,8 +563,7 @@ std::vector<AssociationDirective> CentralController::RunPolicy(bool guard) {
   if (obs::MetricsScope* s = obs::CurrentScope()) {
     s->ctrl.policy_runs.Add(1);
   }
-  const model::Assignment before = assignment_;
-  model::Assignment proposed = policy_->Associate(net_, before);
+  model::Assignment proposed = policy_->Associate(net_, assignment_);
   // Do-no-harm guard (epoch reoptimization only): policies plan under their
   // own sharing model, which can diverge from the physical evaluator. Never
   // deploy a reoptimization that scores below the trivial fallback of
@@ -506,7 +583,7 @@ std::vector<AssociationDirective> CentralController::RunPolicy(bool guard) {
       }
     }
   }
-  return DiffAndRegister(before, std::move(proposed));
+  return DiffAndRegister(assignment_, std::move(proposed));
 }
 
 HandleResult CentralController::HandleUserArrival(const ScanReport& report) {
@@ -713,7 +790,6 @@ ReoptReport CentralController::Reoptimize(double budget_seconds) {
   }
   ReoptReport report;
   const util::Deadline deadline = util::Deadline::After(budget_seconds);
-  const model::Assignment before = assignment_;
   const model::Assignment evacuate = EvacuationFallback();
 
   // Degradation ladder, cheapest rung first so that something deployable
@@ -731,7 +807,8 @@ ReoptReport CentralController::Reoptimize(double budget_seconds) {
                          ReoptTier::kFull, ReoptTier::kJoint}) {
     if (tier == ReoptTier::kJoint && !joint_enabled) break;
     if (deadline.Expired()) break;
-    model::Assignment proposed = SolveTier(tier, &deadline, before, evacuate);
+    model::Assignment proposed =
+        SolveTier(tier, &deadline, assignment_, evacuate);
     if (!deadline.Expired()) {
       chosen = std::move(proposed);
       chosen_plan =
@@ -773,7 +850,7 @@ ReoptReport CentralController::Reoptimize(double budget_seconds) {
   }
 
   channel_plan_ = std::move(chosen_plan);
-  report.directives = DiffAndRegister(before, std::move(chosen));
+  report.directives = DiffAndRegister(assignment_, std::move(chosen));
   return report;
 }
 
@@ -782,7 +859,6 @@ ReoptReport CentralController::ReoptimizeUpToTier(ReoptTier top) {
     s->ctrl.policy_runs.Add(1);
   }
   ReoptReport report;
-  const model::Assignment before = assignment_;
   const model::Assignment evacuate = EvacuationFallback();
   const bool joint_enabled = joint_.num_channels > 0;
 
@@ -798,7 +874,8 @@ ReoptReport CentralController::ReoptimizeUpToTier(ReoptTier top) {
                          ReoptTier::kFull, ReoptTier::kJoint}) {
     if (TierCost(tier) > TierCost(top)) break;
     if (tier == ReoptTier::kJoint && !joint_enabled) break;
-    model::Assignment proposed = SolveTier(tier, nullptr, before, evacuate);
+    model::Assignment proposed =
+        SolveTier(tier, nullptr, assignment_, evacuate);
     std::vector<int> plan =
         tier == ReoptTier::kJoint ? proposed_plan_ : channel_plan_;
     const double score = ScoreUnder(plan, proposed);
@@ -826,7 +903,7 @@ ReoptReport CentralController::ReoptimizeUpToTier(ReoptTier top) {
   }
 
   channel_plan_ = std::move(chosen_plan);
-  report.directives = DiffAndRegister(before, std::move(chosen));
+  report.directives = DiffAndRegister(assignment_, std::move(chosen));
   return report;
 }
 
@@ -836,9 +913,8 @@ ReoptReport CentralController::ReoptimizeAtTier(ReoptTier tier) {
   }
   ReoptReport report;
   report.tier = tier;
-  const model::Assignment before = assignment_;
   const model::Assignment evacuate = EvacuationFallback();
-  model::Assignment chosen = SolveTier(tier, nullptr, before, evacuate);
+  model::Assignment chosen = SolveTier(tier, nullptr, assignment_, evacuate);
   std::vector<int> chosen_plan =
       (tier == ReoptTier::kJoint && joint_.num_channels > 0) ? proposed_plan_
                                                              : channel_plan_;
@@ -869,7 +945,7 @@ ReoptReport CentralController::ReoptimizeAtTier(ReoptTier tier) {
   }
 
   channel_plan_ = std::move(chosen_plan);
-  report.directives = DiffAndRegister(before, std::move(chosen));
+  report.directives = DiffAndRegister(assignment_, std::move(chosen));
   return report;
 }
 

@@ -403,7 +403,7 @@ class CentralController {
   // a dead (or quarantined) backhaul unassigned.
   model::Assignment EvacuationFallback() const;
   // Adopt `proposed` and emit+register a directive for every user whose
-  // extender changed relative to `before`.
+  // extender changed relative to `before` (which may be assignment_).
   std::vector<AssociationDirective> DiffAndRegister(
       const model::Assignment& before, model::Assignment proposed);
 

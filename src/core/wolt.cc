@@ -189,8 +189,26 @@ model::Assignment WoltPolicy::Associate(const model::Network& net,
   if (previous.NumUsers() != net.NumUsers()) {
     throw std::invalid_argument("previous assignment size mismatch");
   }
-  if (options_.subset_search) return AssociateSubsetSearch(net, previous);
-  return AssociateOnce(net, previous, {});
+  // Budgeted calls bypass the whole-solve memo in both directions.
+  const bool memoize = deadline_ == nullptr;
+  if (memoize && solve_memo_valid_ && solve_memo_version_ == net.Version() &&
+      solve_memo_previous_ == previous) {
+    if (obs::MetricsScope* s = obs::CurrentScope()) {
+      s->solver.solve_memo_hits.Add(1);
+    }
+    return solve_memo_output_;
+  }
+  if (memoize) solve_memo_valid_ = false;
+  model::Assignment out = options_.subset_search
+                              ? AssociateSubsetSearch(net, previous)
+                              : AssociateOnce(net, previous, {});
+  if (memoize) {
+    solve_memo_version_ = net.Version();
+    solve_memo_previous_ = previous;
+    solve_memo_output_ = out;
+    solve_memo_valid_ = true;
+  }
+  return out;
 }
 
 model::Assignment WoltPolicy::AssociateSubsetSearch(

@@ -127,6 +127,21 @@ class WoltPolicy : public AssociationPolicy {
   mutable std::vector<int> memo_col_of_row_;
   mutable bool memo_valid_ = false;
 
+  // Exact whole-solve memo, one slot. The key is the solve's entire input:
+  // the network's content stamp (Network::Version(), process-unique and
+  // refreshed only when solver-visible content changes) and `previous`;
+  // the value is the output of a complete solve, a deterministic function
+  // of that input under this policy's fixed options. Only deadline-free
+  // calls read or write it, so a truncated solve is never stored and a
+  // budgeted call always runs. The slot is marked invalid before a
+  // memoized solve and valid only once the whole pair is stored, so an
+  // exception mid-call leaves it empty rather than pairing a key with
+  // another input's output.
+  std::uint64_t solve_memo_version_ = 0;
+  model::Assignment solve_memo_previous_;
+  model::Assignment solve_memo_output_;
+  bool solve_memo_valid_ = false;
+
   // Solve-lifetime scratch, retained across Associate calls so repeated
   // solves run allocation-free in steady state. `arena_` is reset at the
   // start of every Phase I (the solve boundary); everything below it on the

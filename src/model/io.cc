@@ -145,7 +145,10 @@ LoadResult LoadNetworkDetailed(std::istream& in) {
       ++line_number;
       const std::size_t first = line.find_first_not_of(" \t\r");
       if (first == std::string::npos || line[first] == '#') continue;
-      parsed = std::istringstream(line);
+      // Re-seed in place; move-assigning a fresh stream trips GCC 12's
+      // -Wstringop-overflow under the sanitizers (a false positive).
+      parsed.str(line);
+      parsed.clear();
       return true;
     }
     return false;

@@ -1,6 +1,7 @@
 #include "model/network.h"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -18,6 +19,12 @@ double Distance(const Position& a, const Position& b) {
 
 namespace {
 constexpr double kNoRssi = -std::numeric_limits<double>::infinity();
+
+// Bitwise equality: distinguishes -0.0 from 0.0 and compares NaNs by their
+// payload, so "no bump" really means "the stored bytes did not change".
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 }  // namespace
 
 Network::Network(std::size_t num_users, std::size_t num_extenders)
@@ -28,7 +35,9 @@ Network::Network(std::size_t num_users, std::size_t num_extenders)
 
 void Network::SetWifiRate(std::size_t user, std::size_t extender, double mbps) {
   if (mbps < 0.0) throw std::invalid_argument("negative WiFi rate");
-  rates_.at(user * NumExtenders() + extender) = mbps;
+  double& slot = rates_.at(user * NumExtenders() + extender);
+  if (SameBits(slot, mbps)) return;
+  slot = mbps;
   version_ = NextVersionStamp();
 }
 
@@ -43,18 +52,24 @@ double Network::Rssi(std::size_t user, std::size_t extender) const {
 
 void Network::SetPlcRate(std::size_t extender, double mbps) {
   if (mbps < 0.0) throw std::invalid_argument("negative PLC rate");
-  extenders_.at(extender).plc_rate_mbps = mbps;
+  double& slot = extenders_.at(extender).plc_rate_mbps;
+  if (SameBits(slot, mbps)) return;
+  slot = mbps;
   version_ = NextVersionStamp();
 }
 
 void Network::SetMaxUsers(std::size_t extender, int max_users) {
-  extenders_.at(extender).max_users = max_users;
+  int& slot = extenders_.at(extender).max_users;
+  if (slot == max_users) return;
+  slot = max_users;
   version_ = NextVersionStamp();
 }
 
 void Network::SetPlcDomain(std::size_t extender, int domain) {
   if (domain < 0) throw std::invalid_argument("negative PLC domain");
-  extenders_.at(extender).plc_domain = domain;
+  int& slot = extenders_.at(extender).plc_domain;
+  if (slot == domain) return;
+  slot = domain;
   version_ = NextVersionStamp();
 }
 
@@ -66,7 +81,9 @@ void Network::SetWifiChannel(std::size_t extender, int channel) {
   if (channel < -1 || channel >= kMaxWifiChannels) {
     throw std::invalid_argument("WiFi channel out of range");
   }
-  extenders_.at(extender).wifi_channel = channel;
+  int& slot = extenders_.at(extender).wifi_channel;
+  if (slot == channel) return;
+  slot = channel;
   version_ = NextVersionStamp();
 }
 
@@ -80,7 +97,9 @@ void Network::SetUserPosition(std::size_t user, Position p) {
 
 void Network::SetUserDemand(std::size_t user, double mbps) {
   if (mbps < 0.0) throw std::invalid_argument("negative demand");
-  users_.at(user).demand_mbps = mbps;
+  double& slot = users_.at(user).demand_mbps;
+  if (SameBits(slot, mbps)) return;
+  slot = mbps;
   version_ = NextVersionStamp();
 }
 
@@ -89,7 +108,9 @@ double Network::UserDemand(std::size_t user) const {
 }
 
 void Network::SetExtenderPosition(std::size_t extender, Position p) {
-  extenders_.at(extender).position = p;
+  Position& slot = extenders_.at(extender).position;
+  if (SameBits(slot.x, p.x) && SameBits(slot.y, p.y)) return;
+  slot = p;
   // Geometry is solver-visible once a channel plan is in play: carrier-sense
   // contention domains are derived from extender distances, and the channel-
   // aware evaluator caches that derivation keyed on Version().

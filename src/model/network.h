@@ -90,14 +90,22 @@ class Network {
   std::size_t NumUsers() const { return users_.size(); }
   std::size_t NumExtenders() const { return extenders_.size(); }
 
-  // Mutation stamp: refreshed by every mutator that can change what the
-  // solvers see (rates, capacities, domains, demands, membership). Stamps
-  // are drawn from a process-wide counter, never reused, so no two distinct
-  // mutation states ever share an (object address, Version()) pair — even
-  // when a destroyed network's address is recycled for a new one. Derived
-  // caches (model::NetworkSoA) key their validity on exactly that pair.
-  // Copies share the stamp of the state they were copied from, which is
-  // sound: an equal stamp implies equal solver-visible content.
+  // Content stamp of what the solvers see (rates, capacities, user limits,
+  // domains, channels, extender positions, demands, membership). The Set*
+  // mutators of those fields refresh it only when the stored value actually
+  // changes: writing a bit-identical value (compared with std::bit_cast, so
+  // 0.0 -> -0.0 is a change) keeps the stamp, which is what lets an
+  // unchanged scan skip every cache rebuild and an unchanged solve. AddUser,
+  // RemoveUser and the Mutable* accessors always refresh it. Stamps are
+  // drawn from a process-wide counter, never reused, so a stamp never names
+  // two different contents — even across objects, and when a destroyed
+  // network's address is recycled for a new one. Copies share the stamp of
+  // the state they were copied from, which is sound: an equal stamp implies
+  // equal solver-visible content. (A moved-from network keeps the stamp
+  // but not the content; assign it before reading it again.) Derived
+  // caches (model::NetworkSoA, the evaluator's channel cache) key their
+  // validity on (object address, Version()); WoltPolicy's solve memo keys
+  // on Version() alone.
   std::uint64_t Version() const { return version_; }
 
   // r_ij in Mbit/s; 0 means unreachable.

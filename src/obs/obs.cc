@@ -24,6 +24,7 @@ SolverCounters::SolverCounters(MetricsRegistry& r)
     : hungarian_solves(r.GetCounter("hungarian.solves")),
       hungarian_augment_steps(r.GetCounter("hungarian.augment_steps")),
       phase1_memo_hits(r.GetCounter("wolt.phase1.memo_hits")),
+      solve_memo_hits(r.GetCounter("wolt.solve_memo_hits")),
       relocate_generated(r.GetCounter("ls.relocate.generated")),
       relocate_pruned(r.GetCounter("ls.relocate.pruned")),
       relocate_evaluated(r.GetCounter("ls.relocate.evaluated")),

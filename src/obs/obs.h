@@ -62,6 +62,9 @@ struct SolverCounters {
   // WOLT Phase-I solves answered from the policy's exact memo (no Hungarian
   // run, so they add nothing to hungarian_solves).
   Counter& phase1_memo_hits;
+  // Whole WOLT Associate calls answered from the policy's exact solve memo
+  // (neither phase runs, so they add nothing to any other solver counter).
+  Counter& solve_memo_hits;
 
   // Candidate accounting for the relocation and swap stages. Invariant
   // (asserted per-instance by tests/solver_differential_test.cc): every
@@ -280,11 +283,11 @@ struct EvalCounters {
 };
 struct SolverCounters {
   NoopCounter hungarian_solves, hungarian_augment_steps, phase1_memo_hits,
-      relocate_generated, relocate_pruned, relocate_evaluated,
-      relocate_accepted, swap_generated, swap_pruned, swap_evaluated,
-      swap_accepted, ls_passes, ls_memo_skips, ls_inserts, nlp_solves,
-      nlp_iterations, nlp_backtracks, arena_grows, arena_block_bytes,
-      ls_starts, ls_parallel_starts;
+      solve_memo_hits, relocate_generated, relocate_pruned,
+      relocate_evaluated, relocate_accepted, swap_generated, swap_pruned,
+      swap_evaluated, swap_accepted, ls_passes, ls_memo_skips, ls_inserts,
+      nlp_solves, nlp_iterations, nlp_backtracks, arena_grows,
+      arena_block_bytes, ls_starts, ls_parallel_starts;
 };
 struct ControllerCounters {
   NoopCounter directives_sent, directives_retried, directives_given_up,

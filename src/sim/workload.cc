@@ -567,7 +567,10 @@ TraceLoadResult TraceFromStringDetailed(const std::string& text) {
       ++line_number;
       const std::size_t first = line.find_first_not_of(" \t\r");
       if (first == std::string::npos || line[first] == '#') continue;
-      parsed = std::istringstream(line);
+      // Re-seed in place; move-assigning a fresh stream trips GCC 12's
+      // -Wstringop-overflow under the sanitizers (a false positive).
+      parsed.str(line);
+      parsed.clear();
       return true;
     }
     return false;

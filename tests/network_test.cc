@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace wolt::model {
@@ -124,6 +126,68 @@ TEST(NetworkTest, MaxUsersDefaultsUnlimited) {
   EXPECT_EQ(net.MaxUsers(0), 0);
   net.SetMaxUsers(0, 4);
   EXPECT_EQ(net.MaxUsers(0), 4);
+}
+
+TEST(NetworkTest, BitIdenticalSetKeepsVersion) {
+  Network net(2, 2);
+  net.SetWifiRate(0, 1, 39.0);
+  net.SetPlcRate(1, 120.5);
+  net.SetUserDemand(0, 4.0);
+  net.SetMaxUsers(1, 3);
+  net.SetPlcDomain(1, 2);
+  net.SetWifiChannel(1, 6);
+  net.SetExtenderPosition(1, Position{3.0, 4.0});
+  const std::uint64_t v = net.Version();
+  net.SetWifiRate(0, 1, 39.0);
+  net.SetWifiRate(1, 0, 0.0);
+  net.SetPlcRate(1, 120.5);
+  net.SetPlcRate(0, 0.0);
+  net.SetUserDemand(0, 4.0);
+  net.SetMaxUsers(1, 3);
+  net.SetPlcDomain(1, 2);
+  net.SetWifiChannel(1, 6);
+  net.SetExtenderPosition(1, Position{3.0, 4.0});
+  EXPECT_EQ(net.Version(), v);
+  // Fields no solver reads never bump.
+  net.SetRssi(0, 0, -60.0);
+  net.SetUserPosition(0, Position{1.0, 1.0});
+  net.SetUserLabel(0, "a");
+  net.SetExtenderLabel(0, "b");
+  EXPECT_EQ(net.Version(), v);
+}
+
+TEST(NetworkTest, ChangedValueBumpsVersion) {
+  Network net(1, 2);
+  const auto bumps = [&net](const auto& set) {
+    const std::uint64_t before = net.Version();
+    set();
+    return net.Version() != before;
+  };
+  // 0.0 -> -0.0 compares equal as a double but is a different value.
+  EXPECT_TRUE(bumps([&] { net.SetWifiRate(0, 0, -0.0); }));
+  EXPECT_TRUE(bumps([&] { net.SetWifiRate(0, 0, 0.0); }));
+  EXPECT_TRUE(bumps([&] { net.SetWifiRate(0, 0, 10.0); }));
+  EXPECT_TRUE(bumps([&] {
+    net.SetWifiRate(0, 0, std::nextafter(10.0, 11.0));
+  }));
+  EXPECT_TRUE(bumps([&] { net.SetPlcRate(0, -0.0); }));
+  EXPECT_TRUE(bumps([&] { net.SetPlcRate(0, 50.0); }));
+  EXPECT_TRUE(bumps([&] { net.SetUserDemand(0, -0.0); }));
+  EXPECT_TRUE(bumps([&] { net.SetUserDemand(0, 2.0); }));
+  EXPECT_TRUE(bumps([&] { net.SetMaxUsers(0, 1); }));
+  EXPECT_TRUE(bumps([&] { net.SetPlcDomain(0, 1); }));
+  EXPECT_TRUE(bumps([&] { net.SetWifiChannel(0, 3); }));
+  EXPECT_TRUE(bumps([&] { net.SetExtenderPosition(0, Position{-0.0, 0.0}); }));
+  EXPECT_TRUE(bumps([&] { net.SetExtenderPosition(0, Position{-0.0, 1.0}); }));
+  // Membership changes and mutable access always bump.
+  EXPECT_TRUE(bumps([&] { net.AddUser(User{}, {0.0, 0.0}); }));
+  EXPECT_TRUE(bumps([&] { net.RemoveUser(1); }));
+  EXPECT_TRUE(bumps([&] { net.MutableUser(0); }));
+  EXPECT_TRUE(bumps([&] { net.MutableExtender(0); }));
+  // A rejected value leaves the stamp alone.
+  EXPECT_FALSE(bumps([&] {
+    EXPECT_THROW(net.SetWifiRate(0, 0, -1.0), std::invalid_argument);
+  }));
 }
 
 }  // namespace
