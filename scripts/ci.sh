@@ -4,7 +4,8 @@
 # to ASan), storage-fault smokes (exhaustive crash-point harness in the
 # default and ASan builds, randomized crash points under TSan), a parallel-
 # determinism smoke (a 4-thread sweep must emit byte-identical CSV to a
-# 1-thread sweep), a chaos smoke, and two perf gates (obs hooks <= 5%, Vfs
+# 1-thread sweep), the seed-7 end-to-end digest smoke, a chaos smoke, and
+# two perf gates (obs hooks <= 5%, Vfs
 # storage seam <= 1%). Run from anywhere; everything happens at the repo
 # root.
 #
@@ -23,13 +24,13 @@ if [[ "${1:-}" == "--coverage" ]]; then
     solver_differential_test sweep_determinism_test controller_test \
     dynamics_test evaluator_test local_search_test hungarian_test nlp_test \
     greedy_differential_test phase1_memo_test solve_memo_test \
-    codec_differential_test
+    codec_differential_test framed_log_test
 
   echo "==> coverage: run the suites that exercise src/obs/"
   # Stale counters from previous runs poison the percentages.
   find build-cov -name '*.gcda' -delete
   ctest --test-dir build-cov --output-on-failure -R \
-    '^(obs_test|obs_golden_test|solver_differential_test|sweep_determinism_test|controller_test|dynamics_test|evaluator_test|local_search_test|hungarian_test|nlp_test|greedy_differential_test|phase1_memo_test|solve_memo_test|codec_differential_test)$'
+    '^(obs_test|obs_golden_test|solver_differential_test|sweep_determinism_test|controller_test|dynamics_test|evaluator_test|local_search_test|hungarian_test|nlp_test|greedy_differential_test|phase1_memo_test|solve_memo_test|codec_differential_test|framed_log_test)$'
 
   echo "==> coverage: gcov line coverage of src/obs/ (gate: >= 90%)"
   # CMake names the profile files after the object (metrics.cc.gcno), so a
@@ -228,6 +229,25 @@ wait "$pid" 2>/dev/null || true
     2>/dev/null
 cmp /tmp/wolt_fleet.txt /tmp/wolt_fleet_golden.txt
 rm -f /tmp/wolt_fleet.wal /tmp/wolt_fleet.txt /tmp/wolt_fleet_golden.txt
+
+echo "==> e2e digest smoke: seed-7 reference digests of the three workloads"
+# Each end-to-end workload prints the digest of its replayed outcome; at
+# seed 7 those are fixed, so a change to any result on the controller, fleet
+# or sweep path fails here even when every unit test still passes.
+for pair in building-mobile:ef350490af9c64e5 fleet-chaos:e2b5edf15a9d5bbf \
+            sweep-static:a13336ca73629f42; do
+  workload="${pair%%:*}"
+  digest="${pair##*:}"
+  # Captured first: grep -q closing the pipe early would fail the run
+  # under pipefail.
+  e2e_out="$(python3 e2e_bench/run.py --workload "${workload}" --seed 7 \
+      --seconds 1 --trace 0 2>&1)"
+  if ! grep -q "reference digest ${digest}" <<<"${e2e_out}"; then
+    echo "error: ${workload} seed-7 reference digest is not ${digest}" >&2
+    exit 1
+  fi
+  echo "    ${workload}: reference digest ${digest}"
+done
 
 echo "==> chaos smoke: 10-seed soak with invariant gate (4 threads)"
 ./build/bench/bench_chaos_soak 10 4

@@ -3,60 +3,19 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 
 #include "util/fileio.h"
+#include "util/text.h"
 
 namespace wolt::model {
 namespace {
 
 constexpr int kFormatVersion = 1;
 
-void EmitDouble(std::ostream& out, double v) {
-  // %.17g round-trips doubles exactly.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out << buf;
-}
-
-std::optional<double> ParseDouble(const std::string& s) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(s, &consumed);
-    // Reject every non-finite value ("nan", "inf", "infinity", ...): a
-    // single infinite rate or load silently poisons the Evaluator's
-    // aggregates, so malformed input must die here with a typed IoError.
-    if (consumed != s.size() || !std::isfinite(v)) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-std::optional<std::vector<double>> ParseDoubleList(const std::string& csv) {
-  std::vector<double> out;
-  std::istringstream in(csv);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const auto v = ParseDouble(item);
-    if (!v) return std::nullopt;
-    out.push_back(*v);
-  }
-  return out;
-}
-
-// Parses "key=value" tokens from the remainder of a line.
-std::optional<std::unordered_map<std::string, std::string>> ParseKv(
-    std::istringstream& in) {
-  std::unordered_map<std::string, std::string> kv;
-  std::string token;
-  while (in >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) return std::nullopt;
-    kv[token.substr(0, eq)] = token.substr(eq + 1);
-  }
-  return kv;
-}
+using util::EmitDouble;
+using util::ParseDouble;
+using util::ParseDoubleList;
+using util::ParseKv;
 
 }  // namespace
 
@@ -136,33 +95,17 @@ const char* ToString(IoErrorKind kind) {
 }
 
 LoadResult LoadNetworkDetailed(std::istream& in) {
-  std::string line;
-  int line_number = 0;
-
-  // Advances to the next non-blank, non-comment line. Returns false at EOF.
-  const auto next_line = [&](std::istringstream& parsed) {
-    while (std::getline(in, line)) {
-      ++line_number;
-      const std::size_t first = line.find_first_not_of(" \t\r");
-      if (first == std::string::npos || line[first] == '#') continue;
-      // Re-seed in place; move-assigning a fresh stream trips GCC 12's
-      // -Wstringop-overflow under the sanitizers (a false positive).
-      parsed.str(line);
-      parsed.clear();
-      return true;
-    }
-    return false;
-  };
+  util::LineReader lines(in);
   const auto fail = [&](IoErrorKind kind, std::string message) {
     LoadResult res;
-    res.error = {kind, line_number, std::move(message)};
+    res.error = {kind, lines.line_number(), std::move(message)};
     return res;
   };
 
   std::istringstream ls;
   std::string word;
   int version = 0;
-  if (!next_line(ls)) return fail(IoErrorKind::kTruncated, "empty input");
+  if (!lines.Next(ls)) return fail(IoErrorKind::kTruncated, "empty input");
   if (!(ls >> word >> version) || word != "wolt-network") {
     return fail(IoErrorKind::kBadHeader, "expected 'wolt-network <version>'");
   }
@@ -172,7 +115,7 @@ LoadResult LoadNetworkDetailed(std::istream& in) {
   }
 
   std::size_t num_extenders = 0;
-  if (!next_line(ls)) {
+  if (!lines.Next(ls)) {
     return fail(IoErrorKind::kTruncated, "missing extenders section");
   }
   if (!(ls >> word >> num_extenders) || word != "extenders" ||
@@ -183,7 +126,7 @@ LoadResult LoadNetworkDetailed(std::istream& in) {
   Network net(0, num_extenders);
   for (std::size_t j = 0; j < num_extenders; ++j) {
     std::size_t index = 0;
-    if (!next_line(ls)) {
+    if (!lines.Next(ls)) {
       return fail(IoErrorKind::kTruncated, "missing extender record");
     }
     if (!(ls >> word >> index) || word != "extender" || index != j) {
@@ -237,7 +180,7 @@ LoadResult LoadNetworkDetailed(std::istream& in) {
   }
 
   std::size_t num_users = 0;
-  if (!next_line(ls)) {
+  if (!lines.Next(ls)) {
     return fail(IoErrorKind::kTruncated, "missing users section");
   }
   if (!(ls >> word >> num_users) || word != "users") {
@@ -247,7 +190,7 @@ LoadResult LoadNetworkDetailed(std::istream& in) {
   std::vector<User> users(num_users);
   for (std::size_t i = 0; i < num_users; ++i) {
     std::size_t index = 0;
-    if (!next_line(ls)) {
+    if (!lines.Next(ls)) {
       return fail(IoErrorKind::kTruncated, "missing user record");
     }
     if (!(ls >> word >> index) || word != "user" || index != i) {
@@ -277,7 +220,7 @@ LoadResult LoadNetworkDetailed(std::istream& in) {
   for (std::size_t i = 0; i < num_users; ++i) {
     std::size_t index = 0;
     std::string csv;
-    if (!next_line(ls)) {
+    if (!lines.Next(ls)) {
       return fail(IoErrorKind::kTruncated, "missing rates row");
     }
     if (!(ls >> word >> index >> csv) || word != "rates" || index != i) {
@@ -302,7 +245,7 @@ LoadResult LoadNetworkDetailed(std::istream& in) {
   for (std::size_t i = 0; i < num_users; ++i) {
     std::size_t index = 0;
     std::string csv;
-    if (!next_line(ls)) {
+    if (!lines.Next(ls)) {
       if (i == 0) break;  // no RSSI block at all
       return fail(IoErrorKind::kTruncated, "partial rssi block");
     }
@@ -330,7 +273,7 @@ LoadResult LoadNetworkDetailed(std::istream& in) {
   // users), there is nothing left to check; otherwise reject trailing input.
   if (saw_rssi || num_users == 0) {
     std::istringstream extra;
-    if (next_line(extra)) {
+    if (lines.Next(extra)) {
       return fail(IoErrorKind::kTrailingInput,
                   "unexpected input after the network definition");
     }

@@ -1,11 +1,9 @@
 #include "recover/fleet_journal.h"
 
-#include <cstdio>
 #include <unordered_set>
 #include <utility>
 
 #include "obs/obs.h"
-#include "recover/journal.h"  // Fnv1a64
 #include "util/codec.h"
 
 namespace wolt::recover {
@@ -23,8 +21,32 @@ constexpr std::uint8_t kKindShardRound = 2;
 constexpr std::uint8_t kKindFleetRound = 3;
 constexpr std::uint8_t kKindSnapshot = 4;
 
-bool DecodeShardRoundPayload(const std::string& payload,
-                             ShardRoundRecord* out) {
+const FramedLogWriter::Kind kFleetLog{
+    kFleetJournalMagic, "fleet journal", [](obs::MetricsScope& s) {
+      s.recover.fleet_io_error.Add(1);
+      s.recover.fleet_degraded.Add(1);
+    }};
+
+// Encoders append one record payload to *out (the writer's held buffer).
+void EncodeHeader(const FleetJournalHeader& header, std::string* out) {
+  PutU8(out, kKindHeader);
+  PutU32(out, kFleetJournalVersion);
+  PutU64(out, header.fingerprint);
+  PutU64(out, header.num_shards);
+  PutU64(out, header.rounds);
+}
+
+bool DecodeHeader(std::string_view payload, FleetJournalHeader* out) {
+  Cursor cur(payload);
+  if (cur.U8() != kKindHeader) return false;
+  if (cur.U32() != kFleetJournalVersion) return false;
+  out->fingerprint = cur.U64();
+  out->num_shards = cur.U64();
+  out->rounds = cur.U64();
+  return cur.AtEnd();
+}
+
+bool DecodeShardRound(std::string_view payload, ShardRoundRecord* out) {
   Cursor cur(payload);
   if (cur.U8() != kKindShardRound) return false;
   out->round = cur.U64();
@@ -48,8 +70,7 @@ bool DecodeShardRoundPayload(const std::string& payload,
   return cur.AtEnd();
 }
 
-bool DecodeFleetRoundPayload(const std::string& payload,
-                             FleetRoundRecord* out) {
+bool DecodeFleetRound(std::string_view payload, FleetRoundRecord* out) {
   Cursor cur(payload);
   if (cur.U8() != kKindFleetRound) return false;
   out->round = cur.U64();
@@ -63,8 +84,8 @@ bool DecodeFleetRoundPayload(const std::string& payload,
   return cur.AtEnd();
 }
 
-bool DecodeSnapshotPayload(const std::string& payload, std::uint64_t* round,
-                           std::string* blob) {
+bool DecodeSnapshot(std::string_view payload, std::uint64_t* round,
+                    std::string* blob) {
   Cursor cur(payload);
   if (cur.U8() != kKindSnapshot) return false;
   *round = cur.U64();
@@ -72,84 +93,42 @@ bool DecodeSnapshotPayload(const std::string& payload, std::uint64_t* round,
   return cur.AtEnd();
 }
 
+
+void EncodeShardRound(const ShardRoundRecord& record, std::string* out) {
+  PutU8(out, kKindShardRound);
+  PutU64(out, record.round);
+  PutU32(out, record.shard);
+  PutU8(out, record.state);
+  PutU8(out, static_cast<std::uint8_t>(record.tier));
+  util::PutDouble(out, record.truth_aggregate);
+  PutU64(out, record.processed);
+  PutU64(out, record.decode_rejects);
+  PutU64(out, record.wire_faults);
+  PutU64(out, record.state_conflicts);
+  PutU64(out, record.directives);
+  PutU64(out, record.outbound);
+  PutU64(out, record.failures);
+  PutU64(out, record.dropped);
+  PutU8(out, record.restarted);
+  PutU8(out, record.broke);
+  PutU8(out, record.probed);
+  PutU8(out, record.held_violation);
+  PutU8(out, record.isolation_violation);
+}
+
+void EncodeFleetRound(const FleetRoundRecord& record, std::string* out) {
+  PutU8(out, kKindFleetRound);
+  PutU64(out, record.round);
+  PutU64(out, record.enqueued);
+  PutU64(out, record.delivered);
+  PutU64(out, record.shed);
+  PutU64(out, record.discarded);
+  PutU64(out, record.backlog);
+  PutU64(out, record.reopt_scheduled);
+  PutU64(out, record.reopt_units);
+}
+
 }  // namespace
-
-std::string EncodeFleetHeaderPayload(const FleetJournalHeader& header) {
-  std::string out;
-  PutU8(&out, kKindHeader);
-  PutU32(&out, kFleetJournalVersion);
-  PutU64(&out, header.fingerprint);
-  PutU64(&out, header.num_shards);
-  PutU64(&out, header.rounds);
-  return out;
-}
-
-bool DecodeFleetHeaderPayload(const std::string& payload,
-                              FleetJournalHeader* out) {
-  Cursor cur(payload);
-  if (cur.U8() != kKindHeader) return false;
-  if (cur.U32() != kFleetJournalVersion) return false;
-  out->fingerprint = cur.U64();
-  out->num_shards = cur.U64();
-  out->rounds = cur.U64();
-  return cur.AtEnd();
-}
-
-std::string EncodeShardRoundPayload(const ShardRoundRecord& record) {
-  std::string out;
-  PutU8(&out, kKindShardRound);
-  PutU64(&out, record.round);
-  PutU32(&out, record.shard);
-  PutU8(&out, record.state);
-  PutU8(&out, static_cast<std::uint8_t>(record.tier));
-  util::PutDouble(&out, record.truth_aggregate);
-  PutU64(&out, record.processed);
-  PutU64(&out, record.decode_rejects);
-  PutU64(&out, record.wire_faults);
-  PutU64(&out, record.state_conflicts);
-  PutU64(&out, record.directives);
-  PutU64(&out, record.outbound);
-  PutU64(&out, record.failures);
-  PutU64(&out, record.dropped);
-  PutU8(&out, record.restarted);
-  PutU8(&out, record.broke);
-  PutU8(&out, record.probed);
-  PutU8(&out, record.held_violation);
-  PutU8(&out, record.isolation_violation);
-  return out;
-}
-
-std::string EncodeFleetRoundPayload(const FleetRoundRecord& record) {
-  std::string out;
-  PutU8(&out, kKindFleetRound);
-  PutU64(&out, record.round);
-  PutU64(&out, record.enqueued);
-  PutU64(&out, record.delivered);
-  PutU64(&out, record.shed);
-  PutU64(&out, record.discarded);
-  PutU64(&out, record.backlog);
-  PutU64(&out, record.reopt_scheduled);
-  PutU64(&out, record.reopt_units);
-  return out;
-}
-
-std::string EncodeSnapshotPayload(std::uint64_t round,
-                                  const std::string& blob) {
-  std::string out;
-  PutU8(&out, kKindSnapshot);
-  PutU64(&out, round);
-  PutString(&out, blob);
-  return out;
-}
-
-std::string FrameFleetPayload(const std::string& payload) {
-  std::string out;
-  PutU32(&out, kFleetJournalMagic);
-  PutU32(&out, static_cast<std::uint32_t>(payload.size()));
-  PutU64(&out, Fnv1a64(payload.data(), payload.size()));
-  out.append(payload);
-  return out;
-}
 
 FleetJournalReadResult ReadFleetJournal(const std::string& path,
                                         io::Vfs* vfs_in) {
@@ -162,11 +141,7 @@ FleetJournalReadResult ReadFleetJournal(const std::string& path,
     return out;
   }
 
-  constexpr std::size_t kFrameHeader =
-      sizeof(std::uint32_t) * 2 + sizeof(std::uint64_t);
-  std::size_t pos = 0;
   bool saw_header = false;
-  bool decode_failed = false;
   std::unordered_set<std::uint64_t> seen_shard;  // round*num_shards + shard
   std::unordered_set<std::uint64_t> seen_fleet;  // round
   // Record counts at the last snapshot seen; records past it are discarded
@@ -174,123 +149,79 @@ FleetJournalReadResult ReadFleetJournal(const std::string& path,
   std::size_t cp_shard_count = 0;
   std::size_t cp_fleet_count = 0;
 
-  while (true) {
-    if (bytes.size() - pos < kFrameHeader) break;
-    Cursor frame(bytes.data() + pos, kFrameHeader);
-    const std::uint32_t magic = frame.U32();
-    const std::uint32_t len = frame.U32();
-    const std::uint64_t checksum = frame.U64();
-    if (magic != kFleetJournalMagic) break;
-    if (len > bytes.size() - pos - kFrameHeader) break;  // truncated payload
-    const char* payload_data = bytes.data() + pos + kFrameHeader;
-    if (Fnv1a64(payload_data, len) != checksum) break;
-    const std::string payload(payload_data, len);
-    const std::size_t frame_end = pos + kFrameHeader + len;
-
-    if (!saw_header) {
-      if (!DecodeFleetHeaderPayload(payload, &out.header)) {
-        out.error = "fleet journal header record is missing or corrupt: " +
-                    path;
-        out.torn_bytes = bytes.size();
-        return out;
-      }
-      saw_header = true;
-      out.header_bytes = frame_end;
-    } else if (payload.empty()) {
-      decode_failed = true;
-      break;
-    } else if (static_cast<std::uint8_t>(payload[0]) == kKindShardRound) {
-      ShardRoundRecord rec;
-      if (!DecodeShardRoundPayload(payload, &rec)) {
-        decode_failed = true;
-        break;
-      }
-      const std::uint64_t key =
-          rec.round * out.header.num_shards + rec.shard;
-      if (!seen_shard.insert(key).second) {
-        ++out.duplicates;
-      } else {
-        out.shard_records.push_back(rec);
-      }
-    } else if (static_cast<std::uint8_t>(payload[0]) == kKindFleetRound) {
-      FleetRoundRecord rec;
-      if (!DecodeFleetRoundPayload(payload, &rec)) {
-        decode_failed = true;
-        break;
-      }
-      if (!seen_fleet.insert(rec.round).second) {
-        ++out.duplicates;
-      } else {
-        out.fleet_records.push_back(rec);
-      }
-    } else if (static_cast<std::uint8_t>(payload[0]) == kKindSnapshot) {
-      std::uint64_t round = 0;
-      std::string blob;
-      if (!DecodeSnapshotPayload(payload, &round, &blob)) {
-        decode_failed = true;
-        break;
-      }
-      out.has_checkpoint = true;
-      out.checkpoint_round = round;
-      out.checkpoint_blob = std::move(blob);
-      out.checkpoint_bytes = frame_end;
-      cp_shard_count = out.shard_records.size();
-      cp_fleet_count = out.fleet_records.size();
-    } else {
-      // Unknown record kind under a valid checksum: medium corruption.
-      decode_failed = true;
-      break;
-    }
-    pos = frame_end;
-  }
+  const FrameScan scan = ScanFrames(
+      bytes, kFleetJournalMagic,
+      [&](std::string_view payload, std::uint64_t frame_end) {
+        if (!saw_header) {
+          saw_header = DecodeHeader(payload, &out.header);
+          if (saw_header) {
+            out.header_bytes = frame_end;
+          } else {
+            out.error =
+                "fleet journal header record is missing or corrupt: " + path;
+          }
+          return saw_header;
+        }
+        const std::uint8_t kind =
+            payload.empty() ? 0 : static_cast<std::uint8_t>(payload[0]);
+        if (kind == kKindShardRound) {
+          ShardRoundRecord rec;
+          if (!DecodeShardRound(payload, &rec)) return false;
+          const std::uint64_t key =
+              rec.round * out.header.num_shards + rec.shard;
+          if (!seen_shard.insert(key).second) {
+            ++out.duplicates;
+          } else {
+            out.shard_records.push_back(rec);
+          }
+          return true;
+        }
+        if (kind == kKindFleetRound) {
+          FleetRoundRecord rec;
+          if (!DecodeFleetRound(payload, &rec)) return false;
+          if (!seen_fleet.insert(rec.round).second) {
+            ++out.duplicates;
+          } else {
+            out.fleet_records.push_back(rec);
+          }
+          return true;
+        }
+        if (kind == kKindSnapshot) {
+          std::uint64_t round = 0;
+          std::string blob;
+          if (!DecodeSnapshot(payload, &round, &blob)) return false;
+          out.has_checkpoint = true;
+          out.checkpoint_round = round;
+          out.checkpoint_blob = std::move(blob);
+          out.checkpoint_bytes = frame_end;
+          cp_shard_count = out.shard_records.size();
+          cp_fleet_count = out.fleet_records.size();
+          return true;
+        }
+        return false;  // unknown kind under a valid checksum: rot
+      });
 
   if (!saw_header) {
-    out.error = "fleet journal has no valid header record: " + path;
+    if (out.error.empty()) {
+      out.error = "fleet journal has no valid header record: " + path;
+    }
     out.torn_bytes = bytes.size();
     return out;
   }
-  out.valid_bytes = pos;
-  out.torn_bytes = bytes.size() - pos;
-  // Classify why the valid prefix ended: an incomplete final frame is a torn
-  // append (expected after a crash); a complete-looking frame with a bad
-  // magic/checksum/payload is bit-rot. Either way replay truncates to the
-  // last good checksum frame instead of aborting.
-  if (out.torn_bytes > 0) {
-    const std::size_t tail = bytes.size() - pos;
-    if (decode_failed) {
-      out.tail_rot = true;
-    } else if (tail < kFrameHeader) {
-      out.tail_torn = true;
-    } else {
-      Cursor frame(bytes.data() + pos, kFrameHeader);
-      const std::uint32_t magic = frame.U32();
-      const std::uint32_t len = frame.U32();
-      if (magic != kFleetJournalMagic) {
-        out.tail_rot = true;
-      } else if (len > tail - kFrameHeader) {
-        out.tail_torn = true;
-      } else {
-        out.tail_rot = true;  // checksum mismatch
-      }
-    }
-    if (obs::MetricsScope* s = obs::CurrentScope()) {
-      if (out.tail_torn) s->recover.fleet_torn_tail.Add(1);
-      if (out.tail_rot) s->recover.fleet_rot_truncated.Add(1);
-    }
+  out.valid_bytes = scan.valid_bytes;
+  out.torn_bytes = scan.torn_bytes;
+  out.tail_torn = scan.tail_torn;
+  out.tail_rot = scan.tail_rot;
+  if (obs::MetricsScope* s = obs::CurrentScope()) {
+    if (out.tail_torn) s->recover.fleet_torn_tail.Add(1);
+    if (out.tail_rot) s->recover.fleet_rot_truncated.Add(1);
   }
   // Keep only records covered by the checkpoint: resume truncates to the
   // checkpoint and re-executes everything after it.
-  if (!out.has_checkpoint) {
-    out.discarded_records = out.shard_records.size() +
-                            out.fleet_records.size();
-    out.shard_records.clear();
-    out.fleet_records.clear();
-  } else {
-    out.discarded_records = (out.shard_records.size() - cp_shard_count) +
-                            (out.fleet_records.size() - cp_fleet_count);
-    out.shard_records.resize(cp_shard_count);
-    out.fleet_records.resize(cp_fleet_count);
-  }
+  out.discarded_records = (out.shard_records.size() - cp_shard_count) +
+                          (out.fleet_records.size() - cp_fleet_count);
+  out.shard_records.resize(cp_shard_count);
+  out.fleet_records.resize(cp_fleet_count);
   out.ok = true;
   return out;
 }
@@ -301,96 +232,39 @@ FleetJournalReadResult ReadFleetJournal(const std::string& path,
 FleetJournalWriter::FleetJournalWriter(const std::string& path,
                                        const FleetJournalHeader& header,
                                        Options options)
-    : path_(path),
-      options_(std::move(options)),
-      vfs_(&io::OrDefault(options_.vfs)) {
-  io::IoStatus st;
-  fd_ = vfs_->OpenWrite(path_, io::Vfs::OpenMode::kTruncate, &st);
-  if (fd_ < 0) {
-    Degrade(st, "cannot open fleet journal");
-    return;
-  }
-  ok_ = true;
-  WriteFrame(EncodeFleetHeaderPayload(header));  // degrades on failure
+    : log_(path, kFleetLog, std::move(options)) {
+  EncodeHeader(header, &payload_);
+  log_.OpenFresh(payload_);
 }
 
 FleetJournalWriter::FleetJournalWriter(const std::string& path,
                                        const FleetJournalReadResult& existing,
                                        Options options)
-    : path_(path),
-      options_(std::move(options)),
-      vfs_(&io::OrDefault(options_.vfs)) {
+    : log_(path, kFleetLog, std::move(options)) {
   if (!existing.ok) return;  // caller decides; typically restart fresh
-  const std::uint64_t keep = existing.has_checkpoint
-                                 ? existing.checkpoint_bytes
-                                 : existing.header_bytes;
-  io::IoStatus st = vfs_->Truncate(path_, keep);
-  if (!st.ok()) {
-    Degrade(st, "cannot truncate fleet journal to checkpoint");
-    return;
-  }
-  fd_ = vfs_->OpenWrite(path_, io::Vfs::OpenMode::kAppend, &st);
-  if (fd_ < 0) {
-    Degrade(st, "cannot reopen fleet journal");
-    return;
-  }
-  ok_ = true;
-}
-
-FleetJournalWriter::~FleetJournalWriter() { Close(); }
-
-void FleetJournalWriter::WriteFrame(const std::string& payload) {
-  if (!ok_ || fd_ < 0) return;
-  io::IoStatus st = io::WriteAll(*vfs_, fd_, FrameFleetPayload(payload));
-  if (st.ok() && options_.sync_every_append) {
-    st = io::FsyncRetry(*vfs_, fd_);
-  }
-  if (!st.ok()) {
-    Degrade(st, "fleet journal append failed");
-    return;
-  }
-  ++appends_;
-  if (options_.after_append) options_.after_append(appends_);
+  log_.Resume(existing.has_checkpoint ? existing.checkpoint_bytes
+                                      : existing.header_bytes);
 }
 
 void FleetJournalWriter::AppendShardRound(const ShardRoundRecord& record) {
-  WriteFrame(EncodeShardRoundPayload(record));
+  payload_.clear();
+  EncodeShardRound(record, &payload_);
+  log_.Append(payload_);
 }
 
 void FleetJournalWriter::AppendFleetRound(const FleetRoundRecord& record) {
-  WriteFrame(EncodeFleetRoundPayload(record));
+  payload_.clear();
+  EncodeFleetRound(record, &payload_);
+  log_.Append(payload_);
 }
 
 void FleetJournalWriter::AppendSnapshot(std::uint64_t round,
                                         const std::string& blob) {
-  WriteFrame(EncodeSnapshotPayload(round, blob));
-}
-
-void FleetJournalWriter::Close() {
-  if (fd_ < 0) return;
-  io::IoStatus st = io::FsyncRetry(*vfs_, fd_);
-  const io::IoStatus close_st = vfs_->Close(fd_);
-  if (st.ok()) st = close_st;
-  fd_ = -1;
-  if (!st.ok()) Degrade(st, "fleet journal close failed");
-}
-
-void FleetJournalWriter::Degrade(const io::IoStatus& status, const char* what) {
-  if (fd_ >= 0) {
-    vfs_->Close(fd_);
-    fd_ = -1;
-  }
-  ok_ = false;
-  if (degraded_) return;
-  degraded_ = true;
-  std::fprintf(stderr,
-               "wolt: fleet journal %s: %s (%s) — journaling disabled, the "
-               "run continues best-effort (no crash resume past this point)\n",
-               path_.c_str(), what, status.Message().c_str());
-  if (obs::MetricsScope* s = obs::CurrentScope()) {
-    s->recover.fleet_io_error.Add(1);
-    s->recover.fleet_degraded.Add(1);
-  }
+  payload_.clear();
+  PutU8(&payload_, kKindSnapshot);
+  PutU64(&payload_, round);
+  PutString(&payload_, blob);
+  log_.Append(payload_);
 }
 
 }  // namespace wolt::recover

@@ -3,10 +3,11 @@
 // run SIGKILLed at any instant resumes from its last snapshot and produces a
 // byte-identical report to an uninterrupted run.
 //
-// Same framing as the sweep journal (recover/journal.h) under a distinct
-// magic so the two artefacts can never be resumed against each other:
-//
-//   [u32 "WFL1"][u32 payload_len][u64 fnv1a(payload)][payload bytes]
+// The file is a framed log (recover/framed_log.h) under the "WFL1" magic,
+// distinct from the sweep journal's so the two artefacts can never be
+// resumed against each other. Framing, checksums, the torn-vs-rot tail
+// scan, appends and degraded mode live there; this file holds the record
+// codecs, kind dispatch, (round, shard) dedup and the checkpoint rule.
 //
 // Record stream per completed round: one ShardRoundRecord per shard, one
 // FleetRoundRecord, and — every `snapshot_every` rounds and after the final
@@ -22,11 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "io/vfs.h"
+#include "recover/framed_log.h"
 
 namespace wolt::recover {
 
@@ -109,16 +110,8 @@ FleetJournalReadResult ReadFleetJournal(const std::string& path,
 
 class FleetJournalWriter {
  public:
-  struct Options {
-    // Test hook, called after each append has been flushed with the count
-    // of appends made through this writer. The crash harness raises SIGKILL
-    // in here to die at an exact journal position.
-    std::function<void(std::size_t)> after_append;
-    // Storage backend; nullptr = the real filesystem.
-    io::Vfs* vfs = nullptr;
-    // fsync after every append (see JournalWriter::Options).
-    bool sync_every_append = false;
-  };
+  // Every frame counts on after_append, the header included (append 1).
+  using Options = FramedLogWriter::Options;
 
   // Fresh journal: truncates `path` and writes the header record.
   FleetJournalWriter(const std::string& path, const FleetJournalHeader& header,
@@ -130,47 +123,26 @@ class FleetJournalWriter {
   FleetJournalWriter(const std::string& path,
                      const FleetJournalReadResult& existing, Options options);
 
-  ~FleetJournalWriter();
-
   FleetJournalWriter(const FleetJournalWriter&) = delete;
   FleetJournalWriter& operator=(const FleetJournalWriter&) = delete;
 
   // Journaling is active. When false every append is a no-op; the fleet run
   // keeps going (best-effort mode, no crash resume past that point).
-  bool ok() const { return ok_; }
+  bool ok() const { return log_.ok(); }
   // The writer gave up after an I/O failure; one loud stderr warning was
   // emitted and recover.fleet.{io_error,degraded} were bumped.
-  bool degraded() const { return degraded_; }
+  bool degraded() const { return log_.degraded(); }
 
   void AppendShardRound(const ShardRoundRecord& record);
   void AppendFleetRound(const FleetRoundRecord& record);
   void AppendSnapshot(std::uint64_t round, const std::string& blob);
 
   // fsync + close. Called by the destructor if not called explicitly.
-  void Close();
+  void Close() { log_.Close(); }
 
  private:
-  void WriteFrame(const std::string& payload);
-  void Degrade(const io::IoStatus& status, const char* what);
-
-  std::string path_;
-  Options options_;
-  io::Vfs* vfs_ = nullptr;
-  int fd_ = -1;
-  bool ok_ = false;
-  bool degraded_ = false;
-  std::size_t appends_ = 0;
+  FramedLogWriter log_;
+  std::string payload_;  // held encode buffer, reused by every append
 };
-
-// Payload codecs, exposed for the torn-tail/corruption unit tests.
-std::string EncodeFleetHeaderPayload(const FleetJournalHeader& header);
-std::string EncodeShardRoundPayload(const ShardRoundRecord& record);
-std::string EncodeFleetRoundPayload(const FleetRoundRecord& record);
-std::string EncodeSnapshotPayload(std::uint64_t round,
-                                  const std::string& blob);
-bool DecodeFleetHeaderPayload(const std::string& payload,
-                              FleetJournalHeader* out);
-// Frames a payload as it appears on disk (magic + length + checksum).
-std::string FrameFleetPayload(const std::string& payload);
 
 }  // namespace wolt::recover

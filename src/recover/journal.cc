@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "obs/obs.h"
 #include "util/codec.h"
-#include "util/fileio.h"
 
 namespace wolt::recover {
 namespace {
@@ -21,79 +19,41 @@ using util::PutU64;
 using util::PutU8;
 using Cursor = util::ByteCursor;
 
-void PutSnapshot(std::string* out, const obs::MetricsSnapshot& m) {
-  PutU64(out, m.counters.size());
-  for (const obs::CounterSample& c : m.counters) {
-    PutString(out, c.name);
-    PutU8(out, c.timing ? 1 : 0);
-    PutU64(out, c.value);
-  }
-  PutU64(out, m.gauges.size());
-  for (const obs::GaugeSample& g : m.gauges) {
-    PutString(out, g.name);
-    PutU8(out, g.timing ? 1 : 0);
-    PutDouble(out, g.value);
-  }
-  PutU64(out, m.histograms.size());
-  for (const obs::HistogramSample& h : m.histograms) {
-    PutString(out, h.name);
-    PutU8(out, h.timing ? 1 : 0);
-    PutU64(out, h.bounds.size());
-    for (double b : h.bounds) PutDouble(out, b);
-    PutU64(out, h.counts.size());
-    for (std::uint64_t c : h.counts) PutU64(out, c);
-    PutU64(out, h.underflow);
-    PutU64(out, h.overflow);
-    PutU64(out, h.rejected);
+// Record kinds inside a frame payload (first byte).
+constexpr std::uint8_t kKindHeader = 1;
+constexpr std::uint8_t kKindTask = 2;
+constexpr std::uint8_t kKindSchema = 3;
+
+constexpr std::uint64_t kMaxMetrics = 1u << 20;
+
+const FramedLogWriter::Kind kSweepLog{
+    kJournalMagic, "journal", [](obs::MetricsScope& s) {
+      s.recover.journal_io_error.Add(1);
+      s.recover.journal_degraded.Add(1);
+    }};
+
+template <typename Sample>
+void PutHeads(std::string* out, const std::vector<Sample>& samples) {
+  PutU64(out, samples.size());
+  for (const Sample& s : samples) {
+    PutString(out, s.name);
+    PutU8(out, s.timing ? 1 : 0);
   }
 }
 
-bool ReadSnapshot(Cursor* cur, obs::MetricsSnapshot* out) {
-  const std::uint64_t nc = cur->U64();
-  if (!cur->ok() || nc > (1u << 20)) return false;
-  out->counters.resize(static_cast<std::size_t>(nc));
-  for (obs::CounterSample& c : out->counters) {
-    c.name = cur->String();
-    c.timing = cur->U8() != 0;
-    c.value = cur->U64();
-  }
-  const std::uint64_t ng = cur->U64();
-  if (!cur->ok() || ng > (1u << 20)) return false;
-  out->gauges.resize(static_cast<std::size_t>(ng));
-  for (obs::GaugeSample& g : out->gauges) {
-    g.name = cur->String();
-    g.timing = cur->U8() != 0;
-    g.value = cur->Double();
-  }
-  const std::uint64_t nh = cur->U64();
-  if (!cur->ok() || nh > (1u << 20)) return false;
-  out->histograms.resize(static_cast<std::size_t>(nh));
-  for (obs::HistogramSample& h : out->histograms) {
-    h.name = cur->String();
-    h.timing = cur->U8() != 0;
-    if (!cur->DoubleVec(&h.bounds)) return false;
-    if (!cur->U64Vec(&h.counts)) return false;
-    h.underflow = cur->U64();
-    h.overflow = cur->U64();
-    h.rejected = cur->U64();
+template <typename Sample>
+bool ReadHeads(Cursor* cur, std::vector<Sample>* out) {
+  const std::uint64_t n = cur->U64();
+  if (!cur->ok() || n > kMaxMetrics) return false;
+  out->resize(static_cast<std::size_t>(n));
+  for (Sample& s : *out) {
+    s.name = cur->String();
+    s.timing = cur->U8() != 0;
   }
   return cur->ok();
 }
 
-// Record kinds inside a frame payload (first byte).
-constexpr std::uint8_t kKindHeader = 1;
-constexpr std::uint8_t kKindTask = 2;
-
 }  // namespace
-
-std::uint64_t Fnv1a64(const char* data, std::size_t size) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 std::string EncodeHeaderPayload(const JournalHeader& header) {
   std::string out;
@@ -104,12 +64,43 @@ std::string EncodeHeaderPayload(const JournalHeader& header) {
   return out;
 }
 
-bool DecodeHeaderPayload(const std::string& payload, JournalHeader* out) {
-  Cursor cur(payload.data(), payload.size());
+bool DecodeHeaderPayload(std::string_view payload, JournalHeader* out) {
+  Cursor cur(payload);
   if (cur.U8() != kKindHeader) return false;
   if (cur.U32() != kJournalVersion) return false;
   out->fingerprint = cur.U64();
   out->num_tasks = cur.U64();
+  return cur.AtEnd();
+}
+
+std::string EncodeSchemaPayload(const obs::MetricsSnapshot& metrics) {
+  std::string out;
+  PutU8(&out, kKindSchema);
+  PutHeads(&out, metrics.counters);
+  PutHeads(&out, metrics.gauges);
+  PutHeads(&out, metrics.histograms);
+  for (const obs::HistogramSample& h : metrics.histograms) {
+    util::PutDoubleVec(&out, h.bounds);
+    PutU64(&out, h.counts.size());
+  }
+  return out;
+}
+
+bool DecodeSchemaPayload(std::string_view payload,
+                         obs::MetricsSnapshot* schema) {
+  Cursor cur(payload);
+  if (cur.U8() != kKindSchema) return false;
+  if (!ReadHeads(&cur, &schema->counters) ||
+      !ReadHeads(&cur, &schema->gauges) ||
+      !ReadHeads(&cur, &schema->histograms)) {
+    return false;
+  }
+  for (obs::HistogramSample& h : schema->histograms) {
+    if (!cur.DoubleVec(&h.bounds)) return false;
+    const std::uint64_t buckets = cur.U64();
+    if (!cur.ok() || buckets > kMaxMetrics) return false;
+    h.counts.assign(static_cast<std::size_t>(buckets), 0);
+  }
   return cur.AtEnd();
 }
 
@@ -125,15 +116,24 @@ std::string EncodeTaskPayload(const TaskRecord& record) {
   PutDouble(&out, record.reassoc_per_user_epoch);
   PutU64(&out, record.quarantine_trips);
   PutDouble(&out, record.elapsed_us);
-  PutU64(&out, record.user_throughput.size());
-  for (double v : record.user_throughput) PutDouble(&out, v);
+  util::PutDoubleVec(&out, record.user_throughput);
   PutU8(&out, record.has_metrics ? 1 : 0);
-  if (record.has_metrics) PutSnapshot(&out, record.metrics);
+  if (!record.has_metrics) return out;
+  const obs::MetricsSnapshot& m = record.metrics;
+  for (const obs::CounterSample& c : m.counters) PutU64(&out, c.value);
+  for (const obs::GaugeSample& g : m.gauges) PutDouble(&out, g.value);
+  for (const obs::HistogramSample& h : m.histograms) {
+    for (std::uint64_t c : h.counts) PutU64(&out, c);
+    PutU64(&out, h.underflow);
+    PutU64(&out, h.overflow);
+    PutU64(&out, h.rejected);
+  }
   return out;
 }
 
-bool DecodeTaskPayload(const std::string& payload, TaskRecord* out) {
-  Cursor cur(payload.data(), payload.size());
+bool DecodeTaskPayload(std::string_view payload,
+                       const obs::MetricsSnapshot* schema, TaskRecord* out) {
+  Cursor cur(payload);
   if (cur.U8() != kKindTask) return false;
   out->index = cur.U64();
   out->error = cur.String();
@@ -146,53 +146,20 @@ bool DecodeTaskPayload(const std::string& payload, TaskRecord* out) {
   out->elapsed_us = cur.Double();
   if (!cur.DoubleVec(&out->user_throughput)) return false;
   out->has_metrics = cur.U8() != 0;
-  if (out->has_metrics && !ReadSnapshot(&cur, &out->metrics)) return false;
+  if (!out->has_metrics) return cur.AtEnd();
+  if (schema == nullptr) return false;  // values without their names
+  obs::MetricsSnapshot& m = out->metrics;
+  m = *schema;
+  for (obs::CounterSample& c : m.counters) c.value = cur.U64();
+  for (obs::GaugeSample& g : m.gauges) g.value = cur.Double();
+  for (obs::HistogramSample& h : m.histograms) {
+    for (std::uint64_t& c : h.counts) c = cur.U64();
+    h.underflow = cur.U64();
+    h.overflow = cur.U64();
+    h.rejected = cur.U64();
+  }
   return cur.AtEnd();
 }
-
-std::string FramePayload(const std::string& payload) {
-  std::string out;
-  PutU32(&out, kJournalMagic);
-  PutU32(&out, static_cast<std::uint32_t>(payload.size()));
-  PutU64(&out, Fnv1a64(payload.data(), payload.size()));
-  out.append(payload);
-  return out;
-}
-
-namespace {
-
-// Classifies the invalid tail starting at `pos` and bumps the matching obs
-// counters. A tail shorter than a frame header, or one whose declared
-// payload runs past end-of-file, is a torn final append (expected after a
-// crash). A complete-looking frame with a bad magic, bad checksum, or
-// undecodable payload is bit-rot on the medium.
-void ClassifyTail(const std::string& bytes, std::size_t pos, bool decode_failed,
-                  bool* torn, bool* rot) {
-  constexpr std::size_t kFrameHeader =
-      sizeof(std::uint32_t) * 2 + sizeof(std::uint64_t);
-  *torn = false;
-  *rot = false;
-  const std::size_t tail = bytes.size() - pos;
-  if (tail == 0) return;
-  if (decode_failed) {
-    *rot = true;  // checksum passed but the payload is garbage
-  } else if (tail < kFrameHeader) {
-    *torn = true;
-  } else {
-    Cursor frame(bytes.data() + pos, kFrameHeader);
-    const std::uint32_t magic = frame.U32();
-    const std::uint32_t len = frame.U32();
-    if (magic != kJournalMagic) {
-      *rot = true;
-    } else if (len > tail - kFrameHeader) {
-      *torn = true;  // payload cut off by the crash
-    } else {
-      *rot = true;  // checksum mismatch
-    }
-  }
-}
-
-}  // namespace
 
 JournalReadResult ReadJournal(const std::string& path, io::Vfs* vfs_in) {
   io::Vfs& vfs = io::OrDefault(vfs_in);
@@ -204,59 +171,52 @@ JournalReadResult ReadJournal(const std::string& path, io::Vfs* vfs_in) {
     return out;
   }
 
-  constexpr std::size_t kFrameHeader =
-      sizeof(std::uint32_t) * 2 + sizeof(std::uint64_t);
-  std::size_t pos = 0;
   bool saw_header = false;
-  bool decode_failed = false;
+  bool has_schema = false;
+  obs::MetricsSnapshot schema;
   std::vector<std::uint64_t> seen;
-
-  while (true) {
-    if (bytes.size() - pos < kFrameHeader) break;
-    Cursor frame(bytes.data() + pos, kFrameHeader);
-    const std::uint32_t magic = frame.U32();
-    const std::uint32_t len = frame.U32();
-    const std::uint64_t checksum = frame.U64();
-    if (magic != kJournalMagic) break;
-    if (len > bytes.size() - pos - kFrameHeader) break;  // truncated payload
-    const char* payload_data = bytes.data() + pos + kFrameHeader;
-    if (Fnv1a64(payload_data, len) != checksum) break;
-    const std::string payload(payload_data, len);
-
-    if (!saw_header) {
-      // The first record must be the header; anything else means this is
-      // not a journal (or its head is corrupt) and nothing can be salvaged.
-      if (!DecodeHeaderPayload(payload, &out.header)) {
-        out.error = "journal header record is missing or corrupt: " + path;
-        out.torn_bytes = bytes.size();
-        return out;
-      }
-      saw_header = true;
-    } else {
-      TaskRecord rec;
-      if (!DecodeTaskPayload(payload, &rec)) {  // corrupt tail
-        decode_failed = true;
-        break;
-      }
-      if (std::find(seen.begin(), seen.end(), rec.index) != seen.end()) {
-        ++out.duplicates;
-      } else {
-        seen.push_back(rec.index);
-        out.records.push_back(std::move(rec));
-      }
-    }
-    pos += kFrameHeader + len;
-  }
+  const FrameScan scan = ScanFrames(
+      bytes, kJournalMagic, [&](std::string_view payload, std::uint64_t) {
+        if (!saw_header) {
+          // The first record must be the header; anything else means this
+          // is not a journal (or its head is corrupt) and nothing can be
+          // salvaged.
+          saw_header = DecodeHeaderPayload(payload, &out.header);
+          if (!saw_header) {
+            out.error = "journal header record is missing or corrupt: " + path;
+          }
+          return saw_header;
+        }
+        if (!payload.empty() && payload[0] == kKindSchema) {
+          has_schema = DecodeSchemaPayload(payload, &schema);
+          return has_schema;
+        }
+        TaskRecord rec;
+        if (!DecodeTaskPayload(payload, has_schema ? &schema : nullptr,
+                               &rec)) {
+          return false;
+        }
+        if (std::find(seen.begin(), seen.end(), rec.index) != seen.end()) {
+          ++out.duplicates;
+        } else {
+          seen.push_back(rec.index);
+          out.records.push_back(std::move(rec));
+        }
+        return true;
+      });
 
   if (!saw_header) {
-    out.error = "journal has no valid header record: " + path;
+    if (out.error.empty()) {
+      out.error = "journal has no valid header record: " + path;
+    }
     out.torn_bytes = bytes.size();
     return out;
   }
   out.ok = true;
-  out.valid_bytes = pos;
-  out.torn_bytes = bytes.size() - pos;
-  ClassifyTail(bytes, pos, decode_failed, &out.tail_torn, &out.tail_rot);
+  out.valid_bytes = scan.valid_bytes;
+  out.torn_bytes = scan.torn_bytes;
+  out.tail_torn = scan.tail_torn;
+  out.tail_rot = scan.tail_rot;
   if (obs::MetricsScope* s = obs::CurrentScope()) {
     if (out.tail_torn) s->recover.journal_torn_tail.Add(1);
     if (out.tail_rot) s->recover.journal_rot_truncated.Add(1);
@@ -267,64 +227,70 @@ JournalReadResult ReadJournal(const std::string& path, io::Vfs* vfs_in) {
 // ---------------------------------------------------------------------------
 // JournalWriter
 
+namespace {
+
+FramedLogWriter::Options LogOptions(const JournalWriter::Options& options) {
+  FramedLogWriter::Options log;
+  log.vfs = options.vfs;
+  log.sync_every_append = options.sync_every_append;
+  return log;  // after_append counts task records, so the journal fires it
+}
+
+}  // namespace
+
 JournalWriter::JournalWriter(const std::string& path,
                              const JournalHeader& header, Options options)
-    : path_(path),
-      header_(header),
+    : header_(header),
       options_(std::move(options)),
-      vfs_(&io::OrDefault(options_.vfs)) {
-  io::IoStatus st;
-  fd_ = vfs_->OpenWrite(path_, io::Vfs::OpenMode::kTruncate, &st);
-  if (fd_ < 0) {
-    Degrade(st, "cannot open sweep journal");
-    return;
-  }
-  ok_ = true;
-  WriteFrame(EncodeHeaderPayload(header_));  // degrades on failure
+      log_(path, kSweepLog, LogOptions(options_)) {
+  log_.OpenFresh(EncodeHeaderPayload(header_));
 }
 
 JournalWriter::JournalWriter(const std::string& path,
                              const JournalReadResult& existing,
                              Options options)
-    : path_(path),
-      header_(existing.header),
+    : header_(existing.header),
       options_(std::move(options)),
-      vfs_(&io::OrDefault(options_.vfs)) {
+      log_(path, kSweepLog, LogOptions(options_)) {
   if (!existing.ok) return;  // caller decides; typically restart fresh
   // Discard the torn tail so appended records land right after the valid
   // prefix, then keep writing the same file.
-  io::IoStatus st = vfs_->Truncate(path_, existing.valid_bytes);
-  if (!st.ok()) {
-    Degrade(st, "cannot truncate torn journal tail");
-    return;
-  }
-  fd_ = vfs_->OpenWrite(path_, io::Vfs::OpenMode::kAppend, &st);
-  if (fd_ < 0) {
-    Degrade(st, "cannot reopen sweep journal");
-    return;
-  }
-  payloads_.reserve(existing.records.size());
+  log_.Resume(existing.valid_bytes);
+  if (!log_.ok()) return;
+  records_.reserve(existing.records.size());
   seen_indices_.reserve(existing.records.size());
   for (const TaskRecord& rec : existing.records) {
-    payloads_.push_back(EncodeTaskPayload(rec));
+    records_.push_back({EncodeTaskPayload(rec),
+                        rec.has_metrics ? InternSchema(rec.metrics) : -1});
     seen_indices_.push_back(rec.index);
   }
-  ok_ = true;
 }
 
-JournalWriter::~JournalWriter() { Close(); }
+int JournalWriter::InternSchema(const obs::MetricsSnapshot& metrics) {
+  std::string schema = EncodeSchemaPayload(metrics);
+  for (std::size_t i = schemas_.size(); i-- > 0;) {
+    if (schemas_[i] == schema) return static_cast<int>(i);
+  }
+  schemas_.push_back(std::move(schema));
+  return static_cast<int>(schemas_.size() - 1);
+}
 
 void JournalWriter::Append(const TaskRecord& record) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!ok_ || fd_ < 0) return;
+  if (!log_.ok()) return;
   if (std::find(seen_indices_.begin(), seen_indices_.end(), record.index) !=
       seen_indices_.end()) {
     return;  // already journaled (restored on resume); keep one copy
   }
-  const std::string payload = EncodeTaskPayload(record);
-  WriteFrame(payload);
-  if (!ok_) return;
-  payloads_.push_back(payload);
+  const int schema = record.has_metrics ? InternSchema(record.metrics) : -1;
+  if (schema >= 0 && schema != in_force_) {
+    log_.Append(schemas_[schema]);
+    in_force_ = schema;
+  }
+  std::string payload = EncodeTaskPayload(record);
+  log_.Append(payload);
+  if (!log_.ok()) return;
+  records_.push_back({std::move(payload), schema});
   seen_indices_.push_back(record.index);
   ++appends_;
   if (options_.compact_every > 0 && appends_ % options_.compact_every == 0) {
@@ -333,69 +299,38 @@ void JournalWriter::Append(const TaskRecord& record) {
   if (options_.after_append) options_.after_append(appends_);
 }
 
-void JournalWriter::WriteFrame(const std::string& payload) {
-  io::IoStatus st = io::WriteAll(*vfs_, fd_, FramePayload(payload));
-  if (st.ok() && options_.sync_every_append) {
-    st = io::FsyncRetry(*vfs_, fd_);
-  }
-  if (!st.ok()) Degrade(st, "journal append failed");
-}
-
 void JournalWriter::Compact() {
-  // Rewrite the whole journal (header + deduped records) via the atomic
-  // temp+fsync+rename helper, then reopen for appending. A crash anywhere
-  // in here leaves either the old journal (still valid, maybe with
-  // duplicates) or the compacted one — never a torn file at path_. The same
-  // holds for an I/O *failure* (ENOSPC mid-rewrite): WriteFileAtomic leaves
-  // the destination untouched, so the old journal stays valid and appends
-  // simply continue after it.
-  std::string contents = FramePayload(EncodeHeaderPayload(header_));
-  for (const std::string& payload : payloads_) {
-    contents.append(FramePayload(payload));
-  }
-  vfs_->Close(fd_);
-  fd_ = -1;
-  const io::IoStatus write_st = util::WriteFileAtomic(path_, contents, vfs_);
-  if (!write_st.ok()) {
-    std::fprintf(stderr,
-                 "wolt: journal %s: compaction failed (%s); keeping the "
-                 "uncompacted journal\n",
-                 path_.c_str(), write_st.Message().c_str());
-    if (obs::MetricsScope* s = obs::CurrentScope()) {
-      s->recover.journal_compact_failed.Add(1);
+  // Rewrite the whole journal (header, deduped records, a schema record
+  // wherever the metrics shape changes) and reopen it for appending. A
+  // crash or an I/O failure (ENOSPC mid-rewrite) leaves the old journal —
+  // still valid, maybe with duplicates — and appends continue after it.
+  std::string contents;
+  AppendFrame(kJournalMagic, EncodeHeaderPayload(header_), &contents);
+  int in_force = -1;
+  for (const Stored& rec : records_) {
+    if (rec.schema >= 0 && rec.schema != in_force) {
+      AppendFrame(kJournalMagic, schemas_[rec.schema], &contents);
+      in_force = rec.schema;
     }
+    AppendFrame(kJournalMagic, rec.payload, &contents);
   }
-  io::IoStatus open_st;
-  fd_ = vfs_->OpenWrite(path_, io::Vfs::OpenMode::kAppend, &open_st);
-  if (fd_ < 0) Degrade(open_st, "cannot reopen journal after compaction");
+  const io::IoStatus st = log_.Replace(contents);
+  if (st.ok()) {
+    in_force_ = in_force;
+    return;
+  }
+  std::fprintf(stderr,
+               "wolt: journal %s: compaction failed (%s); keeping the "
+               "uncompacted journal\n",
+               log_.path().c_str(), st.Message().c_str());
+  if (obs::MetricsScope* s = obs::CurrentScope()) {
+    s->recover.journal_compact_failed.Add(1);
+  }
 }
 
 void JournalWriter::Close() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return;
-  io::IoStatus st = io::FsyncRetry(*vfs_, fd_);
-  const io::IoStatus close_st = vfs_->Close(fd_);
-  if (st.ok()) st = close_st;
-  fd_ = -1;
-  if (!st.ok()) Degrade(st, "journal close failed");
-}
-
-void JournalWriter::Degrade(const io::IoStatus& status, const char* what) {
-  if (fd_ >= 0) {
-    vfs_->Close(fd_);
-    fd_ = -1;
-  }
-  ok_ = false;
-  if (degraded_) return;
-  degraded_ = true;
-  std::fprintf(stderr,
-               "wolt: journal %s: %s (%s) — journaling disabled, the run "
-               "continues best-effort (no crash resume past this point)\n",
-               path_.c_str(), what, status.Message().c_str());
-  if (obs::MetricsScope* s = obs::CurrentScope()) {
-    s->recover.journal_io_error.Add(1);
-    s->recover.journal_degraded.Add(1);
-  }
+  log_.Close();
 }
 
 }  // namespace wolt::recover

@@ -2,51 +2,50 @@
 // lets a sweep killed at any instant (including kill -9 mid-record) resume
 // and produce byte-identical output to an uninterrupted run.
 //
-// File layout: a header record followed by one record per completed task,
-// all framed identically:
+// The file is a framed log (recover/framed_log.h) under the "WJL1" magic:
+// framing, checksums, the torn-vs-rot tail scan, appends and degraded mode
+// all live there. This file holds the record codecs and what is the sweep's
+// own: task-index dedup and compaction.
 //
-//   [u32 magic][u32 payload_len][u64 fnv1a(payload)][payload bytes]
+// Records: a header (format version, the grid fingerprint from
+// sweep::Fingerprint, the task count — a journal can never be resumed
+// against a different sweep), then one record per completed task. Doubles
+// are stored as their raw 8 bytes (bit-exact round trip — resume must
+// reproduce the uninterrupted run's merge inputs exactly). A task's metrics
+// snapshot is stored as values only; the names, timing flags and histogram
+// bounds they belong to are a schema record, written whenever a task's
+// metrics shape differs from the schema in force. Each fresh, resumed or
+// compacted file starts with no schema in force; the reader applies schema
+// records in file order, and a values-only record with no schema in force
+// is rot.
 //
-// Doubles are serialized as their raw 8 bytes (bit-exact round trip — the
-// resume path must reproduce the uninterrupted run's merge inputs exactly).
-// The header payload carries a format version, the grid fingerprint
-// (sweep::Fingerprint) and the task count, so a journal can never be
-// resumed against a different sweep.
-//
-// Crash semantics:
-//  * Appends are fflush'd per record: a process kill (the page cache
-//    survives) loses at most the record being written. Power loss can lose
-//    more; compaction and Close() fsync.
-//  * The reader validates records front to back; the first bad frame (bad
-//    magic, truncated length, checksum mismatch, unparsable payload) ends
-//    the valid prefix, and everything after it is reported as torn bytes.
-//    Resume truncates the file back to the valid prefix before appending.
+// Sweep semantics on top of the framed log:
 //  * Duplicate task indices (possible when a crash lands between "task
-//    re-run" and "journal truncated") dedupe first-record-wins.
+//    re-run" and "journal truncated") dedupe first-record-wins; the writer
+//    drops an index it already journaled.
 //  * Every `compact_every` appends the journal is rewritten without
-//    duplicates via temp file + fsync + rename, bounding file growth across
-//    repeated crash/resume cycles.
+//    duplicates (FramedLogWriter::Replace: temp file + fsync + rename),
+//    bounding file growth across repeated crash/resume cycles.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/vfs.h"
 #include "obs/metrics.h"
+#include "recover/framed_log.h"
 
 namespace wolt::recover {
 
 inline constexpr std::uint32_t kJournalMagic = 0x574A4C31;  // "WJL1"
 // Version 2 added the dynamic-workload frontier columns (oracle, regret,
-// reassociation rate, quarantine trips) to TaskRecord.
-inline constexpr std::uint32_t kJournalVersion = 2;
-
-// FNV-1a 64-bit over a byte string (the per-record checksum).
-std::uint64_t Fnv1a64(const char* data, std::size_t size);
+// reassociation rate, quarantine trips) to TaskRecord. Version 3 moved the
+// metric names out of task records into schema records.
+inline constexpr std::uint32_t kJournalVersion = 3;
 
 struct JournalHeader {
   std::uint64_t fingerprint = 0;  // sweep::Fingerprint of the grid
@@ -101,15 +100,15 @@ class JournalWriter {
     // Rewrite the journal (dedup + fsync + rename) every this many appends;
     // 0 disables compaction.
     std::size_t compact_every = 64;
-    // Test hook, called after each append has been flushed, with the count
-    // of appends made through this writer. The crash harness raises
-    // SIGKILL in here to die at an exact journal position.
+    // Test hook, called after each task record has been flushed (and any
+    // compaction it triggered has run), with the count of task records
+    // appended through this writer; header and schema frames do not
+    // count. The crash harness raises SIGKILL in here to die at an exact
+    // journal position.
     std::function<void(std::size_t)> after_append;
     // Storage backend; nullptr = the real filesystem.
     io::Vfs* vfs = nullptr;
-    // fsync after every append. Default off: per-record fflush-to-kernel
-    // survives a process kill, and compaction/Close() fsync. The crash
-    // harness turns this on so every append is a distinct durable point.
+    // fsync after every frame (see FramedLogWriter::Options).
     bool sync_every_append = false;
   };
 
@@ -122,20 +121,18 @@ class JournalWriter {
   JournalWriter(const std::string& path, const JournalReadResult& existing,
                 Options options);
 
-  ~JournalWriter();
-
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
   // Journaling is active. When false the writer is a no-op; the run itself
   // keeps going (best-effort mode) — losing the journal must never take the
   // sweep down with it.
-  bool ok() const { return ok_; }
+  bool ok() const { return log_.ok(); }
 
   // The writer gave up on journaling after an I/O failure (open, append,
   // truncate or reopen-after-compaction). Flipping to degraded emits one
   // loud stderr warning and bumps recover.journal.{io_error,degraded}.
-  bool degraded() const { return degraded_; }
+  bool degraded() const { return log_.degraded(); }
 
   // Thread-safe: serialize, frame, write. Safe to call from the sweep
   // engine's worker threads. An I/O failure degrades the writer instead of
@@ -146,30 +143,42 @@ class JournalWriter {
   void Close();
 
  private:
-  void WriteFrame(const std::string& payload);
-  void Compact();
-  void Degrade(const io::IoStatus& status, const char* what);
+  // A journaled task payload and the index into schemas_ of its metrics
+  // schema (-1: the record carries no metrics).
+  struct Stored {
+    std::string payload;
+    int schema = -1;
+  };
 
-  std::string path_;
+  // Index into schemas_ of `metrics`' schema record, added when new.
+  int InternSchema(const obs::MetricsSnapshot& metrics);
+  void Compact();
+
   JournalHeader header_;
   Options options_;
-  io::Vfs* vfs_ = nullptr;
   std::mutex mu_;
-  int fd_ = -1;
-  bool ok_ = false;
-  bool degraded_ = false;
+  FramedLogWriter log_;
   std::size_t appends_ = 0;
-  // Every unique record payload written (or restored), for compaction.
-  std::vector<std::string> payloads_;
+  // Every unique record written (or restored), for compaction.
+  std::vector<Stored> records_;
   std::vector<std::uint64_t> seen_indices_;
+  std::vector<std::string> schemas_;  // distinct schema record payloads
+  int in_force_ = -1;  // schemas_ index of the file's schema in force
 };
 
 // Payload codecs, exposed for the torn-tail/corruption unit tests.
 std::string EncodeHeaderPayload(const JournalHeader& header);
+bool DecodeHeaderPayload(std::string_view payload, JournalHeader* out);
+// The schema record of `metrics`: every name, timing flag, histogram bound
+// and histogram bucket count, no values.
+std::string EncodeSchemaPayload(const obs::MetricsSnapshot& metrics);
+bool DecodeSchemaPayload(std::string_view payload,
+                         obs::MetricsSnapshot* schema);
+// A task record stores its metrics as values only, in schema order; a
+// record with metrics decodes only against the schema it was written under
+// (`schema` == nullptr: no schema in force, so such a record is rot).
 std::string EncodeTaskPayload(const TaskRecord& record);
-bool DecodeHeaderPayload(const std::string& payload, JournalHeader* out);
-bool DecodeTaskPayload(const std::string& payload, TaskRecord* out);
-// Frames a payload as it appears on disk (magic + length + checksum).
-std::string FramePayload(const std::string& payload);
+bool DecodeTaskPayload(std::string_view payload,
+                       const obs::MetricsSnapshot* schema, TaskRecord* out);
 
 }  // namespace wolt::recover

@@ -9,12 +9,12 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "obs/obs.h"
 #include "sim/des.h"
 #include "util/fileio.h"
+#include "util/text.h"
 
 namespace wolt::sim {
 namespace {
@@ -30,49 +30,10 @@ constexpr std::uint64_t kBackgroundStream = 2;
 constexpr std::uint64_t kHotspotStream = 3;
 constexpr std::uint64_t kFirstUserStream = 16;
 
-void EmitDouble(std::ostream& out, double v) {
-  // %.17g round-trips doubles exactly.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out << buf;
-}
-
-std::optional<double> ParseDouble(const std::string& s) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(s, &consumed);
-    // Non-finite values ("nan", "inf", ...) must die here with a typed
-    // error, same contract as the network loader.
-    if (consumed != s.size() || !std::isfinite(v)) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-std::optional<std::vector<double>> ParseDoubleList(const std::string& csv) {
-  std::vector<double> out;
-  std::istringstream in(csv);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const auto v = ParseDouble(item);
-    if (!v) return std::nullopt;
-    out.push_back(*v);
-  }
-  return out;
-}
-
-std::optional<std::unordered_map<std::string, std::string>> ParseKv(
-    std::istringstream& in) {
-  std::unordered_map<std::string, std::string> kv;
-  std::string token;
-  while (in >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) return std::nullopt;
-    kv[token.substr(0, eq)] = token.substr(eq + 1);
-  }
-  return kv;
-}
+using util::EmitDouble;
+using util::ParseDouble;
+using util::ParseDoubleList;
+using util::ParseKv;
 
 double Hypot(double dx, double dy) { return std::sqrt(dx * dx + dy * dy); }
 
@@ -559,32 +520,17 @@ std::string TraceToString(const WorkloadTrace& trace) {
 
 TraceLoadResult TraceFromStringDetailed(const std::string& text) {
   std::istringstream in(text);
-  std::string line;
-  int line_number = 0;
-
-  const auto next_line = [&](std::istringstream& parsed) {
-    while (std::getline(in, line)) {
-      ++line_number;
-      const std::size_t first = line.find_first_not_of(" \t\r");
-      if (first == std::string::npos || line[first] == '#') continue;
-      // Re-seed in place; move-assigning a fresh stream trips GCC 12's
-      // -Wstringop-overflow under the sanitizers (a false positive).
-      parsed.str(line);
-      parsed.clear();
-      return true;
-    }
-    return false;
-  };
+  util::LineReader lines(in);
   const auto fail = [&](model::IoErrorKind kind, std::string message) {
     TraceLoadResult res;
-    res.error = {kind, line_number, std::move(message)};
+    res.error = {kind, lines.line_number(), std::move(message)};
     return res;
   };
 
   std::istringstream ls;
   std::string word;
   int version = 0;
-  if (!next_line(ls)) {
+  if (!lines.Next(ls)) {
     return fail(model::IoErrorKind::kTruncated, "empty input");
   }
   if (!(ls >> word >> version) || word != "wolt-trace") {
@@ -597,7 +543,7 @@ TraceLoadResult TraceFromStringDetailed(const std::string& text) {
   }
 
   std::size_t num_extenders = 0;
-  if (!next_line(ls)) {
+  if (!lines.Next(ls)) {
     return fail(model::IoErrorKind::kTruncated, "missing extenders line");
   }
   if (!(ls >> word >> num_extenders) || word != "extenders" ||
@@ -606,7 +552,7 @@ TraceLoadResult TraceFromStringDetailed(const std::string& text) {
                 "expected 'extenders <n>' with n > 0");
   }
 
-  if (!next_line(ls)) {
+  if (!lines.Next(ls)) {
     return fail(model::IoErrorKind::kTruncated, "missing horizon line");
   }
   std::string horizon_str;
@@ -619,7 +565,7 @@ TraceLoadResult TraceFromStringDetailed(const std::string& text) {
   }
 
   std::size_t num_events = 0;
-  if (!next_line(ls)) {
+  if (!lines.Next(ls)) {
     return fail(model::IoErrorKind::kTruncated, "missing events line");
   }
   // Guard the count parse: `>> std::size_t` on "-1" wraps around instead of
@@ -644,7 +590,7 @@ TraceLoadResult TraceFromStringDetailed(const std::string& text) {
   std::unordered_set<std::int64_t> ever;
   double prev_time = 0.0;
   for (std::size_t k = 0; k < num_events; ++k) {
-    if (!next_line(ls)) {
+    if (!lines.Next(ls)) {
       return fail(model::IoErrorKind::kTruncated, "missing event record");
     }
     if (!(ls >> word)) {
@@ -802,7 +748,7 @@ TraceLoadResult TraceFromStringDetailed(const std::string& text) {
   }
 
   std::istringstream extra;
-  if (next_line(extra)) {
+  if (lines.Next(extra)) {
     return fail(model::IoErrorKind::kTrailingInput,
                 "unexpected input after the event list");
   }

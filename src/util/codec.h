@@ -1,6 +1,6 @@
-// Binary payload codec shared by every crash-recovery artefact (the sweep
-// journal in recover/journal.cc, the fleet journal in recover/fleet_journal.cc
-// and the controller/fleet state snapshots). Fixed-width integers stored in
+// Binary payload codec shared by every crash-recovery artefact (the record
+// payloads of the sweep and fleet journals in recover/, and the
+// controller/fleet state snapshots). Fixed-width integers stored in
 // native byte order and raw 8-byte doubles: these are same-machine recovery
 // formats, not interchange formats, so native order is fine and gives exact
 // double round trips for free — which the byte-identical-resume contract
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace wolt::util {
@@ -58,7 +59,7 @@ inline void PutString(std::string* out, const std::string& s) {
 class ByteCursor {
  public:
   ByteCursor(const char* data, std::size_t size) : p_(data), left_(size) {}
-  explicit ByteCursor(const std::string& s) : ByteCursor(s.data(), s.size()) {}
+  explicit ByteCursor(std::string_view s) : ByteCursor(s.data(), s.size()) {}
 
   bool ok() const { return ok_; }
   bool AtEnd() const { return ok_ && left_ == 0; }

@@ -1,14 +1,17 @@
 // Unit tests for the sweep write-ahead journal (src/recover/): payload
 // codec bit-exactness, torn-tail detection at every truncation offset,
-// mid-file corruption, duplicate-record dedup, resume-after-truncate, and
-// compaction bounding file growth.
+// mid-file corruption, duplicate-record dedup, resume-after-truncate,
+// compaction bounding file growth, and metric schema records across
+// compaction and resume.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "recover/journal.h"
@@ -27,6 +30,12 @@ std::string Slurp(const std::string& path) {
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   return bytes;
+}
+
+std::string Frame(std::string_view payload) {
+  std::string out;
+  AppendFrame(kJournalMagic, payload, &out);
+  return out;
 }
 
 void Dump(const std::string& path, const std::string& bytes) {
@@ -80,9 +89,13 @@ TEST(JournalCodec, TaskPayloadRoundTripsBitExactly) {
   h.overflow = 1;
   rec.metrics.histograms.push_back(h);
 
+  obs::MetricsSnapshot schema;
+  ASSERT_TRUE(DecodeSchemaPayload(EncodeSchemaPayload(rec.metrics), &schema));
   const std::string payload = EncodeTaskPayload(rec);
+  TaskRecord no_schema;
+  EXPECT_FALSE(DecodeTaskPayload(payload, nullptr, &no_schema));
   TaskRecord back;
-  ASSERT_TRUE(DecodeTaskPayload(payload, &back));
+  ASSERT_TRUE(DecodeTaskPayload(payload, &schema, &back));
   ExpectRecordsEqual(rec, back);
   ASSERT_EQ(back.metrics.counters.size(), 1u);
   EXPECT_EQ(back.metrics.counters[0].name, "eval.evaluations");
@@ -110,7 +123,7 @@ TEST(JournalCodec, DecodeRejectsTruncatedPayloads) {
   const std::string payload = EncodeTaskPayload(MakeRecord(3));
   for (std::size_t cut = 0; cut < payload.size(); ++cut) {
     TaskRecord out;
-    EXPECT_FALSE(DecodeTaskPayload(payload.substr(0, cut), &out))
+    EXPECT_FALSE(DecodeTaskPayload(payload.substr(0, cut), nullptr, &out))
         << "cut at " << cut;
   }
 }
@@ -126,7 +139,7 @@ TEST(JournalRead, EmptyOrHeaderlessFileIsNotOk) {
   Dump(path, "");
   EXPECT_FALSE(ReadJournal(path).ok);
   // A valid task frame without a preceding header record is also invalid.
-  Dump(path, FramePayload(EncodeTaskPayload(MakeRecord(0))));
+  Dump(path, Frame(EncodeTaskPayload(MakeRecord(0))));
   const JournalReadResult r = ReadJournal(path);
   EXPECT_FALSE(r.ok);
   fs::remove(path);
@@ -139,15 +152,15 @@ TEST(JournalRead, TruncationAtEveryOffsetRecoversValidPrefix) {
   JournalHeader header;
   header.fingerprint = 0x5EEDULL;
   header.num_tasks = 3;
-  std::string bytes = FramePayload(EncodeHeaderPayload(header));
+  std::string bytes = Frame(EncodeHeaderPayload(header));
   std::vector<std::uint64_t> frame_ends;  // cumulative end of each task frame
   for (std::uint64_t i = 0; i < 3; ++i) {
-    bytes += FramePayload(EncodeTaskPayload(MakeRecord(i)));
+    bytes += Frame(EncodeTaskPayload(MakeRecord(i)));
     frame_ends.push_back(bytes.size());
   }
   const std::uint64_t header_end =
       frame_ends.empty() ? bytes.size() : frame_ends[0] -
-          FramePayload(EncodeTaskPayload(MakeRecord(0))).size();
+          Frame(EncodeTaskPayload(MakeRecord(0))).size();
 
   const std::string path = TempPath("wolt_journal_trunc.wal");
   for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
@@ -179,10 +192,10 @@ TEST(JournalRead, TruncationAtEveryOffsetRecoversValidPrefix) {
 TEST(JournalRead, CorruptedMidFileByteEndsValidPrefix) {
   JournalHeader header;
   header.num_tasks = 2;
-  std::string bytes = FramePayload(EncodeHeaderPayload(header));
-  bytes += FramePayload(EncodeTaskPayload(MakeRecord(0)));
+  std::string bytes = Frame(EncodeHeaderPayload(header));
+  bytes += Frame(EncodeTaskPayload(MakeRecord(0)));
   const std::size_t first_end = bytes.size();
-  bytes += FramePayload(EncodeTaskPayload(MakeRecord(1)));
+  bytes += Frame(EncodeTaskPayload(MakeRecord(1)));
   // Flip one payload byte inside the second task frame: checksum must catch
   // it, keeping record 0 and discarding the rest as torn.
   bytes[first_end + 20] = static_cast<char>(bytes[first_end + 20] ^ 0x41);
@@ -205,10 +218,10 @@ TEST(JournalRead, DuplicateIndicesDedupeFirstWins) {
   first.aggregate_mbps = 111.0;
   TaskRecord second = MakeRecord(1);
   second.aggregate_mbps = 222.0;
-  std::string bytes = FramePayload(EncodeHeaderPayload(header));
-  bytes += FramePayload(EncodeTaskPayload(first));
-  bytes += FramePayload(EncodeTaskPayload(second));
-  bytes += FramePayload(EncodeTaskPayload(MakeRecord(0)));
+  std::string bytes = Frame(EncodeHeaderPayload(header));
+  bytes += Frame(EncodeTaskPayload(first));
+  bytes += Frame(EncodeTaskPayload(second));
+  bytes += Frame(EncodeTaskPayload(MakeRecord(0)));
 
   const std::string path = TempPath("wolt_journal_dup.wal");
   Dump(path, bytes);
@@ -235,7 +248,7 @@ TEST(JournalWriter, WriteReadRoundTripAndResume) {
   }
   // Simulate a crash that tore the 5th record mid-frame.
   std::string bytes = Slurp(path);
-  const std::string frame = FramePayload(EncodeTaskPayload(MakeRecord(4)));
+  const std::string frame = Frame(EncodeTaskPayload(MakeRecord(4)));
   Dump(path, bytes + frame.substr(0, frame.size() / 2));
 
   JournalReadResult existing = ReadJournal(path);
@@ -288,9 +301,9 @@ TEST(JournalWriter, CompactionDedupesAndBoundsGrowth) {
   EXPECT_EQ(r.duplicates, 0u);
   const std::uint64_t compact_size = fs::file_size(path);
   // A journal with the same 4 unique records written once is the floor.
-  std::string canonical = FramePayload(EncodeHeaderPayload(header));
+  std::string canonical = Frame(EncodeHeaderPayload(header));
   for (std::uint64_t i = 0; i < 4; ++i) {
-    canonical += FramePayload(EncodeTaskPayload(MakeRecord(i)));
+    canonical += Frame(EncodeTaskPayload(MakeRecord(i)));
   }
   EXPECT_EQ(compact_size, canonical.size());
   fs::remove(path);
@@ -311,6 +324,173 @@ TEST(JournalWriter, FreshWriterTruncatesPreexistingFile) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.records.size(), 1u);
   EXPECT_EQ(r.torn_bytes, 0u);
+  fs::remove(path);
+}
+
+// Two metric shapes, interleaved with metrics-free records: a task whose
+// index is 1 mod 3 carries an extra counter, no gauge and a histogram with
+// different bounds; every fifth task carries no metrics at all.
+TaskRecord MakeMetricsRecord(std::uint64_t index) {
+  TaskRecord r = MakeRecord(index);
+  r.has_metrics = index % 5 != 4;
+  if (!r.has_metrics) return r;
+  const bool wide = index % 3 == 1;
+  obs::MetricsSnapshot& m = r.metrics;
+  m.counters.push_back({"eval.evaluations", false, index * 3 + 1});
+  if (wide) m.counters.push_back({"solver.solves", false, index});
+  if (!wide) {
+    m.gauges.push_back({"sweep.wall_seconds", true,
+                        index == 0 ? -0.0 : 1e-3 * static_cast<double>(index)});
+  }
+  obs::HistogramSample h;
+  h.name = "sweep.task_latency_us";
+  h.timing = true;
+  h.bounds = wide ? std::vector<double>{1.0, 10.0}
+                  : std::vector<double>{-0.0, 10.0, 100.0};
+  h.counts.assign(h.bounds.size() + 1, index);
+  h.counts[0] = 7;
+  h.underflow = index % 2;
+  h.overflow = 3;
+  h.rejected = index / 4;
+  m.histograms.push_back(h);
+  return r;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, 8) == 0; }
+
+void ExpectMetricsBitExact(const TaskRecord& a, const TaskRecord& b) {
+  ExpectRecordsEqual(a, b);
+  const obs::MetricsSnapshot& x = a.metrics;
+  const obs::MetricsSnapshot& y = b.metrics;
+  ASSERT_EQ(x.counters.size(), y.counters.size()) << "task " << a.index;
+  for (std::size_t i = 0; i < x.counters.size(); ++i) {
+    EXPECT_EQ(x.counters[i].name, y.counters[i].name);
+    EXPECT_EQ(x.counters[i].timing, y.counters[i].timing);
+    EXPECT_EQ(x.counters[i].value, y.counters[i].value);
+  }
+  ASSERT_EQ(x.gauges.size(), y.gauges.size()) << "task " << a.index;
+  for (std::size_t i = 0; i < x.gauges.size(); ++i) {
+    EXPECT_EQ(x.gauges[i].name, y.gauges[i].name);
+    EXPECT_EQ(x.gauges[i].timing, y.gauges[i].timing);
+    EXPECT_TRUE(SameBits(x.gauges[i].value, y.gauges[i].value));
+  }
+  ASSERT_EQ(x.histograms.size(), y.histograms.size()) << "task " << a.index;
+  for (std::size_t i = 0; i < x.histograms.size(); ++i) {
+    const obs::HistogramSample& hx = x.histograms[i];
+    const obs::HistogramSample& hy = y.histograms[i];
+    EXPECT_EQ(hx.name, hy.name);
+    EXPECT_EQ(hx.timing, hy.timing);
+    ASSERT_EQ(hx.bounds.size(), hy.bounds.size());
+    for (std::size_t k = 0; k < hx.bounds.size(); ++k) {
+      EXPECT_TRUE(SameBits(hx.bounds[k], hy.bounds[k]));
+    }
+    EXPECT_EQ(hx.counts, hy.counts);
+    EXPECT_EQ(hx.underflow, hy.underflow);
+    EXPECT_EQ(hx.overflow, hy.overflow);
+    EXPECT_EQ(hx.rejected, hy.rejected);
+  }
+}
+
+void ExpectAllRecordsBitExact(const JournalReadResult& r, std::size_t n) {
+  ASSERT_EQ(r.records.size(), n);
+  for (const TaskRecord& rec : r.records) {
+    ExpectMetricsBitExact(MakeMetricsRecord(rec.index), rec);
+  }
+}
+
+// Metric names live in schema records; task records carry values only. Two
+// shapes interleaved must come back bit-exactly through appends,
+// compactions, a crash that leaves a dangling schema record of the other
+// shape, and a resume — which starts with no schema in force, so its first
+// record re-states its schema even though it has the shape of the last
+// restored record.
+TEST(JournalSchema, InterleavedShapesRoundTripAcrossCompactionAndResume) {
+  const std::string path = TempPath("wolt_journal_schema.wal");
+  JournalHeader header;
+  header.num_tasks = 20;
+  JournalWriter::Options opts;
+  opts.compact_every = 4;
+  {
+    JournalWriter w(path, header, opts);
+    for (std::uint64_t i = 0; i < 10; ++i) w.Append(MakeMetricsRecord(i));
+  }
+  // Task 8 (narrow shape) is the last restored record with metrics. The
+  // crash lands after the wide schema for task 10 and mid-way through
+  // task 10's own frame.
+  const std::string frame = Frame(EncodeTaskPayload(MakeMetricsRecord(10)));
+  Dump(path, Slurp(path) +
+                 Frame(EncodeSchemaPayload(MakeMetricsRecord(10).metrics)) +
+                 frame.substr(0, frame.size() - 3));
+  const JournalReadResult torn = ReadJournal(path);
+  ASSERT_TRUE(torn.ok) << torn.error;
+  EXPECT_TRUE(torn.tail_torn);
+  ExpectAllRecordsBitExact(torn, 10);
+  {
+    JournalWriter w(path, torn, opts);
+    ASSERT_TRUE(w.ok());
+    w.Append(MakeMetricsRecord(11));  // narrow, like task 8
+    const JournalReadResult mid = ReadJournal(path);
+    ASSERT_TRUE(mid.ok) << mid.error;
+    EXPECT_FALSE(mid.tail_rot);
+    ExpectAllRecordsBitExact(mid, 11);
+    for (std::uint64_t i = 12; i < 20; ++i) w.Append(MakeMetricsRecord(i));
+    w.Append(MakeMetricsRecord(10));
+    w.Append(MakeMetricsRecord(3));  // already journaled: dropped
+  }
+  const JournalReadResult r = ReadJournal(path);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.torn_bytes, 0u);
+  EXPECT_EQ(r.duplicates, 0u);
+  ExpectAllRecordsBitExact(r, 20);
+  fs::remove(path);
+}
+
+TEST(JournalSchema, ValuesWithoutASchemaInForceAreRot) {
+  JournalHeader header;
+  header.num_tasks = 2;
+  std::string bytes = Frame(EncodeHeaderPayload(header));
+  bytes += Frame(EncodeTaskPayload(MakeRecord(0)));  // no metrics: fine
+  const std::size_t valid = bytes.size();
+  bytes += Frame(EncodeTaskPayload(MakeMetricsRecord(1)));
+  const std::string path = TempPath("wolt_journal_noschema.wal");
+  Dump(path, bytes);
+  const JournalReadResult r = ReadJournal(path);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.records.size(), 1u);
+  EXPECT_EQ(r.valid_bytes, valid);
+  EXPECT_TRUE(r.tail_rot);
+  EXPECT_FALSE(r.tail_torn);
+  fs::remove(path);
+}
+
+TEST(JournalSchema, MetricsFreeRecordsWriteNoSchema) {
+  const std::string path = TempPath("wolt_journal_plain.wal");
+  JournalHeader header;
+  header.num_tasks = 3;
+  {
+    JournalWriter w(path, header, {});
+    for (std::uint64_t i = 0; i < 3; ++i) w.Append(MakeRecord(i));
+  }
+  std::string canonical = Frame(EncodeHeaderPayload(header));
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    canonical += Frame(EncodeTaskPayload(MakeRecord(i)));
+  }
+  EXPECT_EQ(Slurp(path), canonical);
+  fs::remove(path);
+}
+
+TEST(JournalRead, OlderFormatVersionFailsTheHeaderCheck) {
+  JournalHeader header;
+  std::string payload = EncodeHeaderPayload(header);
+  const std::uint32_t old_version = kJournalVersion - 1;
+  std::memcpy(&payload[1], &old_version, sizeof old_version);
+  JournalHeader back;
+  EXPECT_FALSE(DecodeHeaderPayload(payload, &back));
+  const std::string path = TempPath("wolt_journal_v2.wal");
+  Dump(path, Frame(payload));
+  const JournalReadResult r = ReadJournal(path);
+  EXPECT_FALSE(r.ok);
+  EXPECT_FALSE(r.error.empty());
   fs::remove(path);
 }
 
