@@ -43,8 +43,8 @@ int main() {
 
     const std::vector<int> plan_channels = wifi::AssignChannels(net, plan);
     model::EvalOptions with_plan;
-    with_plan.wifi_contention_domain = wifi::ContentionDomains(
-        net, plan_channels, plan.interference_range_m);
+    with_plan.wifi_channel = plan_channels;
+    with_plan.carrier_sense_range_m = plan.interference_range_m;
     colored +=
         model::Evaluator(with_plan).AggregateThroughput(net, a) / kTrials;
     colored_conflicts +=
@@ -52,8 +52,8 @@ int main() {
 
     const std::vector<int> one_channel = wifi::SameChannelPlan(net);
     model::EvalOptions with_one;
-    with_one.wifi_contention_domain = wifi::ContentionDomains(
-        net, one_channel, plan.interference_range_m);
+    with_one.wifi_channel = one_channel;
+    with_one.carrier_sense_range_m = plan.interference_range_m;
     same_channel +=
         model::Evaluator(with_one).AggregateThroughput(net, a) / kTrials;
     same_conflicts +=

@@ -7,7 +7,6 @@
 
 #include "bench_util.h"
 #include "plc/csma1901.h"
-#include "plc/timeshare.h"
 #include "testbed/traces.h"
 #include "util/rng.h"
 #include "util/table.h"

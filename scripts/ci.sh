@@ -119,8 +119,9 @@ cmake --preset sanitize -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build-asan -j"$(nproc)"
 
 echo "==> sanitize: ctest (includes the 100-seed chaos soak, the"
-echo "    200-seed x 3-sharing-mode joint differential suite and the"
-echo "    3600-case greedy differential suite)"
+echo "    200-seed x 3-sharing-mode joint differential suite, the"
+echo "    3600-case greedy differential suite and the strided exhaustive"
+echo "    throughput-kernel suite kernel_exhaustive_test)"
 ctest --test-dir build-asan --output-on-failure
 
 echo "==> storage-fault smoke: crash-point pass under ASan (strided)"

@@ -32,12 +32,11 @@ wifi::ChannelPlanParams PlanParams(const JointOptions& options) {
 }
 
 // The scoring options for a candidate plan: caller's model with the plan
-// installed (and any explicit contention domains cleared — the plan is the
-// single source of co-channel truth inside this solver).
+// installed (the plan is the single source of co-channel truth inside this
+// solver).
 model::EvalOptions OverlapOptions(const JointOptions& options,
                                   std::vector<int> channels) {
   model::EvalOptions eval = options.eval;
-  eval.wifi_contention_domain.clear();
   eval.wifi_channel = std::move(channels);
   eval.carrier_sense_range_m = options.carrier_sense_range_m;
   return eval;
@@ -60,7 +59,6 @@ JointResult SolveJointNaive(const model::Network& net,
   // Associate exactly as the paper would: plan-blind, every extender
   // presumed isolated.
   model::EvalOptions blind = options.eval;
-  blind.wifi_contention_domain.clear();
   blind.wifi_channel.clear();
   const model::Assignment none(net.NumUsers());
 

@@ -53,9 +53,8 @@ struct JointOptions {
   // Co-channel extenders within this range contend (both for colouring the
   // interference graph and for the evaluator's derived domains).
   double carrier_sense_range_m = 60.0;
-  // Scoring model (plc_sharing etc.). Any wifi_channel /
-  // wifi_contention_domain already present is ignored: the solver installs
-  // its own candidate plans.
+  // Scoring model (plc_sharing etc.). Any wifi_channel already present is
+  // ignored: the solver installs its own candidate plans.
   model::EvalOptions eval;
   // Alternating-solver round cap (each round = recolour + reassociate).
   int max_rounds = 8;

@@ -43,14 +43,14 @@ struct MoveTally {
 // Static per-(user, extender) placement data, hoisted out of the move loops
 // so the hot paths never call back into Network. Built once per search (the
 // multi-start solve shares one read-only instance across all of its starts,
-// including concurrent ones). When the caller supplies a matching
-// NetworkSoA view, the reciprocal-rate matrix is borrowed from it and only
-// the E-sized target mask is computed here — no O(U x E) work per call.
+// including concurrent ones). The rate tables are borrowed from a NetworkSoA
+// view: the caller's when it matches the network, otherwise one owned here
+// and refreshed from the network — only the E-sized target mask is computed
+// by the context itself.
 struct SearchContext {
   std::size_t num_users = 0;
   std::size_t num_extenders = 0;
-  // 1 / r_ij, row-major; 0 when user i cannot reach extender j. Borrowed
-  // from the SoA view when possible, otherwise points at `inv_storage`.
+  // 1 / r_ij, row-major; 0 when user i cannot reach extender j.
   const double* inv_rate = nullptr;
   const int* cap = nullptr;  // B_j, 0 = unconstrained
   // Placement target allowed: enabled by the activation mask AND live
@@ -63,13 +63,12 @@ struct SearchContext {
   // stage reads two full extender columns per candidate cell, and the
   // transposed layout turns those scattered row gathers into reads from
   // two cache-hot vectors. Null unless the caller asked for it (only the
-  // WiFi-sum relocation with swap moves reads it). Borrowed from the SoA
-  // view, which builds it once per network version, or built here.
+  // WiFi-sum relocation with swap moves reads it); the SoA view builds it
+  // once per network version.
   const double* inv_t = nullptr;
 
-  std::vector<double> inv_storage;
-  std::vector<int> cap_storage;
-  std::vector<double> inv_t_storage;
+  // The view borrowed from when the caller passes none that matches.
+  model::NetworkSoA owned;
 
   SearchContext(const model::Network& net, const LocalSearchOptions& options,
                 bool with_columns)
@@ -81,31 +80,17 @@ struct SearchContext {
           options.extender_mask.empty() || options.extender_mask[j] != 0;
       target_ok[j] = allowed && net.PlcRate(j) > 0.0;
     }
-    if (options.soa != nullptr && options.soa->Matches(net)) {
-      inv_rate = options.soa->inv_rate.data();
-      cap = options.soa->cap.data();
-      if (with_columns) inv_t = options.soa->InvRateColumns();
-      return;
+    const model::NetworkSoA* soa = options.soa;
+    if (soa == nullptr || !soa->Matches(net)) {
+      owned.Refresh(net);
+      soa = &owned;
     }
-    inv_storage.assign(num_users * num_extenders, 0.0);
-    cap_storage.assign(num_extenders, 0);
-    for (std::size_t j = 0; j < num_extenders; ++j) {
-      cap_storage[j] = net.MaxUsers(j);
-    }
-    for (std::size_t i = 0; i < num_users; ++i) {
-      const double* row = net.WifiRateRow(i);
-      double* inv = &inv_storage[i * num_extenders];
-      for (std::size_t j = 0; j < num_extenders; ++j) {
-        if (row[j] > 0.0) inv[j] = 1.0 / row[j];
-      }
-    }
-    inv_rate = inv_storage.data();
-    cap = cap_storage.data();
-    if (with_columns) {
-      model::TransposeInto(inv_rate, num_users, num_extenders, inv_t_storage);
-      inv_t = inv_t_storage.data();
-    }
+    inv_rate = soa->inv_rate.data();
+    cap = soa->cap.data();
+    if (with_columns) inv_t = soa->InvRateColumns();
   }
+  SearchContext(const SearchContext&) = delete;
+  SearchContext& operator=(const SearchContext&) = delete;
 
   const double* InvRow(std::size_t user) const {
     return inv_rate + user * num_extenders;

@@ -11,6 +11,64 @@ namespace {
 
 constexpr double kBalanceTolerance = 1e-9;
 
+// Demand regime, first half: group the assigned users by cell (counting
+// sort over the loads, ascending user order within a cell) and replace each
+// live cell's saturated throughput by the demand-aware Eq. 1 allocation on
+// the raw rates. Each user's allocation is the cap the TCP re-sharing
+// respects when PLC throttles the cell. Both halves stay out of line so the
+// saturated path keeps its compact code.
+__attribute__((noinline)) void AllocateDemandCells(const Network& net, const int* ext_of,
+                         EvalScratch& s) {
+  const std::size_t num_ext = s.soa.num_extenders;
+  s.cell_start.assign(num_ext + 1, 0);
+  for (std::size_t j = 0; j < num_ext; ++j) {
+    s.cell_start[j + 1] = s.cell_start[j] + s.load[j];
+  }
+  s.cell_users.resize(static_cast<std::size_t>(s.cell_start[num_ext]));
+  s.cell_caps.assign(s.cell_users.size(), 0.0);
+  s.mm_idx.assign(s.cell_start.begin(), s.cell_start.end() - 1);  // cursors
+  for (std::size_t i = 0; i < s.soa.num_users; ++i) {
+    const int e = ext_of[i];
+    if (e != Assignment::kUnassigned) {
+      s.cell_users[s.mm_idx[static_cast<std::size_t>(e)]++] = i;
+    }
+  }
+  for (std::size_t j = 0; j < num_ext; ++j) {
+    if (s.load[j] == 0 || s.dead_backhaul[j]) continue;
+    const std::size_t begin = static_cast<std::size_t>(s.cell_start[j]);
+    const std::size_t end = static_cast<std::size_t>(s.cell_start[j + 1]);
+    s.tmp_rates.clear();
+    s.tmp_demands.clear();
+    for (std::size_t k = begin; k < end; ++k) {
+      const std::size_t i = s.cell_users[k];
+      s.tmp_rates.push_back(net.WifiRateRow(i)[j]);
+      s.tmp_demands.push_back(s.soa.demand[i]);
+    }
+    const CellAllocation alloc =
+        WifiCellAllocation(s.tmp_rates, s.tmp_demands, 1.0 / s.peers[j]);
+    s.wifi_demand[j] = alloc.total_mbps;
+    std::copy(alloc.user_throughput_mbps.begin(),
+              alloc.user_throughput_mbps.end(), s.cell_caps.data() + begin);
+  }
+}
+
+// Demand regime, second half: split each live cell's end-to-end throughput
+// max-min among its users, capped at their WiFi allocations.
+__attribute__((noinline)) void SplitDemandCells(EvalScratch& s) {
+  EvalResult& result = s.result;
+  for (std::size_t j = 0; j < s.soa.num_extenders; ++j) {
+    if (s.load[j] == 0 || s.dead_backhaul[j]) continue;
+    const std::size_t begin = static_cast<std::size_t>(s.cell_start[j]);
+    const std::size_t end = static_cast<std::size_t>(s.cell_start[j + 1]);
+    s.tmp_demands.assign(s.cell_caps.data() + begin, s.cell_caps.data() + end);
+    const std::vector<double> split =
+        MaxMinWithCaps(s.tmp_demands, result.extenders[j].end_to_end_mbps);
+    for (std::size_t k = begin; k < end; ++k) {
+      result.user_throughput_mbps[s.cell_users[k]] = split[k - begin];
+    }
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -76,6 +134,27 @@ void EqualSharesInPlace(const int* members, std::size_t count,
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t j = static_cast<std::size_t>(members[k]);
     if (demands[j] > 0.0) time_share[j] = share;
+  }
+}
+
+void AllocateAirtime(PlcSharing sharing, const int* members,
+                     std::size_t count, const double* rates,
+                     const double* demands, double* time_share,
+                     std::size_t* idx) {
+  switch (sharing) {
+    case PlcSharing::kMaxMinActive:
+      MaxMinSharesInPlace(members, count, rates, demands, time_share, idx);
+      return;
+    case PlcSharing::kEqualActive:
+      EqualSharesInPlace(members, count, demands, time_share,
+                         /*denominator_all=*/false);
+      return;
+    case PlcSharing::kEqualAll:
+      // Every extender of the domain owns 1/|A_d| of its airtime, whether
+      // or not it uses it.
+      EqualSharesInPlace(members, count, demands, time_share,
+                         /*denominator_all=*/true);
+      return;
   }
 }
 
@@ -220,43 +299,24 @@ EvalResult Evaluator::Evaluate(const Network& net,
   return std::move(scratch.result);
 }
 
-const std::vector<int>* Evaluator::ResolveWifiDomains(
-    const Network& net, EvalScratch& scratch) const {
+void CoChannelDomains(const Network& net, const std::vector<int>& channels,
+                      double range_m, std::vector<int>& domains) {
   const std::size_t num_ext = net.NumExtenders();
-  if (!options_.wifi_contention_domain.empty()) {
-    if (!options_.wifi_channel.empty()) {
-      throw std::invalid_argument(
-          "wifi_contention_domain and wifi_channel are mutually exclusive");
-    }
-    if (options_.wifi_contention_domain.size() != num_ext) {
-      throw std::invalid_argument("contention domain size mismatch");
-    }
-    for (int d : options_.wifi_contention_domain) {
-      if (d < 0) throw std::invalid_argument("negative domain id");
-    }
-    return &options_.wifi_contention_domain;
-  }
-  if (options_.wifi_channel.empty()) return nullptr;
-  if (options_.wifi_channel.size() != num_ext) {
+  if (channels.size() != num_ext) {
     throw std::invalid_argument("channel plan size mismatch");
   }
-  for (int c : options_.wifi_channel) {
+  for (int c : channels) {
     if (c < 0) throw std::invalid_argument("negative channel index");
   }
-  if (options_.carrier_sense_range_m < 0.0) {
+  if (range_m < 0.0) {
     throw std::invalid_argument("negative carrier-sense range");
-  }
-  if (scratch.chan_cache_valid && scratch.chan_cache_version == net.Version() &&
-      scratch.chan_cache_range == options_.carrier_sense_range_m &&
-      scratch.chan_cache_plan == options_.wifi_channel) {
-    return &scratch.channel_domains;
   }
 
   // Union-find (union by min id, path halving) over co-channel extender
-  // pairs within carrier-sense range. Co-channel cells that can hear each
-  // other defer to each other's transmissions, so a whole connected
-  // component shares one airtime budget.
-  std::vector<int>& parent = scratch.channel_parent;
+  // pairs within carrier-sense range, built in `domains` itself. Co-channel
+  // cells that can hear each other defer to each other's transmissions, so
+  // a whole connected component shares one airtime budget.
+  std::vector<int>& parent = domains;
   parent.resize(num_ext);
   for (std::size_t j = 0; j < num_ext; ++j) parent[j] = static_cast<int>(j);
   const auto find = [&parent](int x) {
@@ -270,9 +330,9 @@ const std::vector<int>* Evaluator::ResolveWifiDomains(
   };
   for (std::size_t a = 0; a < num_ext; ++a) {
     for (std::size_t b = a + 1; b < num_ext; ++b) {
-      if (options_.wifi_channel[a] != options_.wifi_channel[b]) continue;
+      if (channels[a] != channels[b]) continue;
       if (Distance(net.ExtenderAt(a).position, net.ExtenderAt(b).position) >
-          options_.carrier_sense_range_m) {
+          range_m) {
         continue;
       }
       const int ra = find(static_cast<int>(a));
@@ -283,298 +343,36 @@ const std::vector<int>* Evaluator::ResolveWifiDomains(
       parent[static_cast<std::size_t>(std::max(ra, rb))] = std::min(ra, rb);
     }
   }
-  // Full compression, then label components by first occurrence. With
-  // min-id roots the root IS the first occurrence, so labels are
-  // deterministic and dense.
+  // Full compression, then label components in one ascending pass: with
+  // min-id roots every parent index is below its child, so a root is met
+  // before its members and its label is already in place when they copy it.
   for (std::size_t j = 0; j < num_ext; ++j) {
     parent[j] = find(static_cast<int>(j));
   }
-  scratch.channel_domains.assign(num_ext, -1);
   int next_label = 0;
   for (std::size_t j = 0; j < num_ext; ++j) {
-    if (parent[j] == static_cast<int>(j)) {
-      scratch.channel_domains[j] = next_label++;
-    }
+    domains[j] = parent[j] == static_cast<int>(j)
+                     ? next_label++
+                     : domains[static_cast<std::size_t>(parent[j])];
   }
-  for (std::size_t j = 0; j < num_ext; ++j) {
-    scratch.channel_domains[j] =
-        scratch.channel_domains[static_cast<std::size_t>(parent[j])];
-  }
-
-  scratch.chan_cache_plan = options_.wifi_channel;
-  scratch.chan_cache_range = options_.carrier_sense_range_m;
-  scratch.chan_cache_version = net.Version();
-  scratch.chan_cache_valid = true;
-  return &scratch.channel_domains;
 }
 
-const EvalResult& Evaluator::EvaluateReference(const Network& net,
-                                               const Assignment& assign,
-                                               EvalScratch& scratch) const {
-  if (assign.NumUsers() != net.NumUsers()) {
-    throw std::invalid_argument("assignment/network user count mismatch");
+const std::vector<int>* Evaluator::ResolveWifiDomains(
+    const Network& net, EvalScratch& scratch) const {
+  if (options_.wifi_channel.empty()) return nullptr;
+  if (!scratch.chan_cache_valid ||
+      scratch.chan_cache_version != net.Version() ||
+      scratch.chan_cache_range != options_.carrier_sense_range_m ||
+      scratch.chan_cache_plan != options_.wifi_channel) {
+    scratch.chan_cache_valid = false;
+    CoChannelDomains(net, options_.wifi_channel,
+                     options_.carrier_sense_range_m, scratch.channel_domains);
+    scratch.chan_cache_plan = options_.wifi_channel;
+    scratch.chan_cache_range = options_.carrier_sense_range_m;
+    scratch.chan_cache_version = net.Version();
+    scratch.chan_cache_valid = true;
   }
-  if (obs::MetricsScope* s = obs::CurrentScope()) {
-    s->eval.evaluations.Add(1);
-  }
-  const std::size_t num_ext = net.NumExtenders();
-  const std::size_t num_users = net.NumUsers();
-
-  EvalResult& result = scratch.result;
-  result.extenders.assign(num_ext, ExtenderReport{});
-  result.user_throughput_mbps.assign(num_users, 0.0);
-  result.aggregate_mbps = 0.0;
-  result.active_extenders = 0;
-
-  // WiFi side: per-extender harmonic sums over associated users.
-  scratch.inv_rate_sum.assign(num_ext, 0.0);
-  scratch.load.assign(num_ext, 0);
-  for (std::size_t i = 0; i < num_users; ++i) {
-    const int e = assign.ExtenderOf(i);
-    if (e == Assignment::kUnassigned) continue;
-    if (e < 0 || static_cast<std::size_t>(e) >= num_ext) {
-      throw std::invalid_argument("assignment references unknown extender");
-    }
-    const double r = net.WifiRate(i, static_cast<std::size_t>(e));
-    if (r <= 0.0) {
-      throw std::invalid_argument("user assigned to unreachable extender");
-    }
-    scratch.inv_rate_sum[static_cast<std::size_t>(e)] += 1.0 / r;
-    ++scratch.load[static_cast<std::size_t>(e)];
-  }
-
-  // Does any user carry a finite offered load? (0 = saturated, the paper's
-  // assumption; the common case takes the cheap harmonic-sum path.)
-  bool any_demand = false;
-  for (std::size_t i = 0; i < num_users; ++i) {
-    if (assign.IsAssigned(i) && net.UserDemand(i) > 0.0) {
-      any_demand = true;
-      break;
-    }
-  }
-
-  // Co-channel contention: active cells in one domain time-share the air.
-  // peers[j] = number of active cells contending with extender j (1 when
-  // every extender has its own channel). Domains come either verbatim from
-  // wifi_contention_domain or derived from a wifi_channel plan + geometry.
-  scratch.peers.assign(num_ext, 1.0);
-  if (const std::vector<int>* wifi_domain = ResolveWifiDomains(net, scratch)) {
-    scratch.active_in_wifi_domain.clear();
-    for (std::size_t j = 0; j < num_ext; ++j) {
-      const int d = (*wifi_domain)[j];
-      if (static_cast<std::size_t>(d) >= scratch.active_in_wifi_domain.size()) {
-        scratch.active_in_wifi_domain.resize(static_cast<std::size_t>(d) + 1,
-                                             0);
-      }
-      if (scratch.load[j] > 0) {
-        ++scratch.active_in_wifi_domain[static_cast<std::size_t>(d)];
-      }
-    }
-    for (std::size_t j = 0; j < num_ext; ++j) {
-      if (scratch.load[j] == 0) continue;
-      scratch.peers[j] = static_cast<double>(
-          scratch.active_in_wifi_domain[static_cast<std::size_t>(
-              (*wifi_domain)[j])]);
-    }
-  }
-
-  scratch.wifi_demand.assign(num_ext, 0.0);
-  scratch.plc_rates.assign(num_ext, 0.0);
-  // Per-extender per-user WiFi allocations (demand path only): the caps the
-  // TCP re-sharing respects when PLC throttles the cell.
-  if (any_demand) {
-    scratch.cell_users.resize(num_ext);
-    scratch.cell_caps.resize(num_ext);
-    for (std::size_t j = 0; j < num_ext; ++j) {
-      scratch.cell_users[j].clear();
-      scratch.cell_caps[j].clear();
-    }
-    for (std::size_t i = 0; i < num_users; ++i) {
-      const int e = assign.ExtenderOf(i);
-      if (e == Assignment::kUnassigned) continue;
-      scratch.cell_users[static_cast<std::size_t>(e)].push_back(i);
-    }
-  }
-  // Users camped on an extender whose power-line link is dead (c_j = 0,
-  // e.g. a failure injected mid-run) get zero end-to-end throughput; the
-  // extender consumes no PLC airtime.
-  scratch.dead_backhaul.assign(num_ext, 0);
-  for (std::size_t j = 0; j < num_ext; ++j) {
-    scratch.plc_rates[j] = net.PlcRate(j);
-    if (scratch.load[j] == 0) continue;
-    ++result.active_extenders;
-    if (scratch.plc_rates[j] <= 0.0) {
-      scratch.dead_backhaul[j] = 1;
-      continue;  // leave wifi_demand at 0 so the airtime allocator skips it
-    }
-    if (any_demand) {
-      scratch.tmp_rates.clear();
-      scratch.tmp_demands.clear();
-      for (std::size_t i : scratch.cell_users[j]) {
-        scratch.tmp_rates.push_back(net.WifiRate(i, j));
-        scratch.tmp_demands.push_back(net.UserDemand(i));
-      }
-      const CellAllocation alloc = WifiCellAllocation(
-          scratch.tmp_rates, scratch.tmp_demands, 1.0 / scratch.peers[j]);
-      scratch.wifi_demand[j] = alloc.total_mbps;
-      scratch.cell_caps[j] = alloc.user_throughput_mbps;
-    } else {
-      scratch.wifi_demand[j] = static_cast<double>(scratch.load[j]) /
-                               scratch.inv_rate_sum[j] / scratch.peers[j];
-    }
-  }
-
-  // PLC side: airtime allocation, independently per contention domain
-  // (extenders on separate power-line segments do not share airtime; with
-  // the default single domain this is the paper's model verbatim). Domains
-  // are grouped CSR-style: counting sort into domain_items, no per-domain
-  // vectors.
-  std::size_t num_domains = 0;
-  for (std::size_t j = 0; j < num_ext; ++j) {
-    const std::size_t d = static_cast<std::size_t>(net.PlcDomain(j));
-    num_domains = std::max(num_domains, d + 1);
-  }
-  scratch.domain_start.assign(num_domains + 1, 0);
-  scratch.domain_size.assign(num_domains, 0);
-  scratch.domain_active.assign(num_domains, 0);
-  for (std::size_t j = 0; j < num_ext; ++j) {
-    const std::size_t d = static_cast<std::size_t>(net.PlcDomain(j));
-    ++scratch.domain_start[d + 1];
-    ++scratch.domain_size[d];
-    if (scratch.load[j] > 0) ++scratch.domain_active[d];
-  }
-  for (std::size_t d = 0; d < num_domains; ++d) {
-    scratch.domain_start[d + 1] += scratch.domain_start[d];
-  }
-  scratch.domain_items.assign(num_ext, 0);
-  {
-    // Fill positions; reuse mm_idx as the per-domain write cursor.
-    scratch.mm_idx.assign(num_domains, 0);
-    for (std::size_t j = 0; j < num_ext; ++j) {
-      const std::size_t d = static_cast<std::size_t>(net.PlcDomain(j));
-      scratch.domain_items[static_cast<std::size_t>(
-          scratch.domain_start[d]) +
-                           scratch.mm_idx[d]++] = static_cast<int>(j);
-    }
-  }
-
-  scratch.time_share.assign(num_ext, 0.0);
-  scratch.mm_idx.assign(num_ext, 0);
-  for (std::size_t d = 0; d < num_domains; ++d) {
-    const std::size_t begin = static_cast<std::size_t>(scratch.domain_start[d]);
-    const std::size_t count =
-        static_cast<std::size_t>(scratch.domain_start[d + 1]) - begin;
-    if (count == 0) continue;
-    const int* members = scratch.domain_items.data() + begin;
-    switch (options_.plc_sharing) {
-      case PlcSharing::kMaxMinActive:
-        detail::MaxMinSharesInPlace(members, count, scratch.plc_rates.data(),
-                            scratch.wifi_demand.data(),
-                            scratch.time_share.data(), scratch.mm_idx.data());
-        break;
-      case PlcSharing::kEqualActive:
-        detail::EqualSharesInPlace(members, count, scratch.wifi_demand.data(),
-                           scratch.time_share.data(),
-                           /*denominator_all=*/false);
-        break;
-      case PlcSharing::kEqualAll:
-        // Every extender of the domain owns 1/|A_d| of its airtime,
-        // whether or not it uses it.
-        detail::EqualSharesInPlace(members, count, scratch.wifi_demand.data(),
-                           scratch.time_share.data(),
-                           /*denominator_all=*/true);
-        break;
-    }
-  }
-
-  for (std::size_t j = 0; j < num_ext; ++j) {
-    ExtenderReport& rep = result.extenders[j];
-    rep.num_users = scratch.load[j];
-    rep.wifi_throughput_mbps = scratch.wifi_demand[j];
-    rep.plc_time_share = scratch.time_share[j];
-    rep.plc_throughput_mbps = scratch.time_share[j] * scratch.plc_rates[j];
-    if (scratch.load[j] == 0) {
-      rep.bottleneck = Bottleneck::kIdle;
-      continue;
-    }
-    if (scratch.dead_backhaul[j]) {
-      rep.bottleneck = Bottleneck::kPlc;  // the backhaul delivers nothing
-      continue;
-    }
-    rep.end_to_end_mbps =
-        std::min(rep.wifi_throughput_mbps, rep.plc_throughput_mbps);
-    // Demand fully met -> the WiFi side limits (under max-min allocation a
-    // sated extender's airtime is capped at exactly its demand, so comparing
-    // wifi vs allocated-plc throughput would misread it as balanced). An
-    // extender is "balanced" only when its demand coincides with the equal
-    // airtime share it is entitled to within its contention domain.
-    const std::size_t d = static_cast<std::size_t>(net.PlcDomain(j));
-    const double share_denominator =
-        options_.plc_sharing == PlcSharing::kEqualAll
-            ? static_cast<double>(scratch.domain_size[d])
-            : static_cast<double>(scratch.domain_active[d]);
-    const double equal_share_capacity =
-        scratch.plc_rates[j] / share_denominator;
-    const bool demand_met = rep.end_to_end_mbps >=
-                            rep.wifi_throughput_mbps - kBalanceTolerance;
-    if (std::abs(rep.wifi_throughput_mbps - equal_share_capacity) <=
-        kBalanceTolerance) {
-      rep.bottleneck = Bottleneck::kBalanced;
-    } else {
-      rep.bottleneck = demand_met ? Bottleneck::kWifi : Bottleneck::kPlc;
-    }
-    result.aggregate_mbps += rep.end_to_end_mbps;
-  }
-
-  if (obs::MetricsScope* s = obs::CurrentScope()) {
-    std::uint64_t wifi = 0, plc = 0, balanced = 0, idle = 0, dead = 0;
-    for (std::size_t j = 0; j < num_ext; ++j) {
-      switch (result.extenders[j].bottleneck) {
-        case Bottleneck::kWifi:
-          ++wifi;
-          break;
-        case Bottleneck::kPlc:
-          ++plc;
-          break;
-        case Bottleneck::kBalanced:
-          ++balanced;
-          break;
-        case Bottleneck::kIdle:
-          ++idle;
-          break;
-      }
-      if (scratch.dead_backhaul[j]) ++dead;
-    }
-    if (wifi) s->eval.bottleneck_wifi.Add(wifi);
-    if (plc) s->eval.bottleneck_plc.Add(plc);
-    if (balanced) s->eval.bottleneck_balanced.Add(balanced);
-    if (idle) s->eval.bottleneck_idle.Add(idle);
-    if (dead) s->eval.dead_backhaul.Add(dead);
-  }
-
-  // TCP shares the extender's bottleneck throughput fairly among its users
-  // (§IV-A): equal split when everyone is saturated, max-min with each
-  // user's WiFi allocation as the cap otherwise.
-  if (any_demand) {
-    for (std::size_t j = 0; j < num_ext; ++j) {
-      if (scratch.load[j] == 0 || scratch.dead_backhaul[j]) continue;
-      const std::vector<double> split = MaxMinWithCaps(
-          scratch.cell_caps[j], result.extenders[j].end_to_end_mbps);
-      for (std::size_t k = 0; k < scratch.cell_users[j].size(); ++k) {
-        result.user_throughput_mbps[scratch.cell_users[j][k]] = split[k];
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < num_users; ++i) {
-      const int e = assign.ExtenderOf(i);
-      if (e == Assignment::kUnassigned) continue;
-      const ExtenderReport& rep =
-          result.extenders[static_cast<std::size_t>(e)];
-      result.user_throughput_mbps[i] =
-          rep.end_to_end_mbps / static_cast<double>(rep.num_users);
-    }
-  }
-  return result;
+  return &scratch.channel_domains;
 }
 
 const EvalResult& Evaluator::Evaluate(const Network& net,
@@ -583,27 +381,14 @@ const EvalResult& Evaluator::Evaluate(const Network& net,
   if (assign.NumUsers() != net.NumUsers()) {
     throw std::invalid_argument("assignment/network user count mismatch");
   }
+  if (obs::MetricsScope* s = obs::CurrentScope()) {
+    s->eval.evaluations.Add(1);
+  }
   scratch.soa.Refresh(net);
   const NetworkSoA& soa = scratch.soa;
   const std::size_t num_users = soa.num_users;
   const std::size_t num_ext = soa.num_extenders;
   const int* ext_of = assign.Data();
-
-  // Demand-carrying evaluations take the reference path: cell-level demand
-  // allocations couple users within a cell and are not expressible as the
-  // per-extender reductions below. (A network with demands configured but
-  // none of them on an assigned user still qualifies for the fast path.)
-  if (soa.any_finite_demand) {
-    for (std::size_t i = 0; i < num_users; ++i) {
-      if (ext_of[i] != Assignment::kUnassigned && soa.demand[i] > 0.0) {
-        return EvaluateReference(net, assign, scratch);
-      }
-    }
-  }
-
-  if (obs::MetricsScope* s = obs::CurrentScope()) {
-    s->eval.evaluations.Add(1);
-  }
 
   EvalResult& result = scratch.result;
   result.extenders.assign(num_ext, ExtenderReport{});
@@ -634,7 +419,9 @@ const EvalResult& Evaluator::Evaluate(const Network& net,
     ++load[static_cast<std::size_t>(e)];
   }
 
-  // Co-channel contention (same logic as the reference; rarely configured).
+  // Co-channel contention: active cells in one domain time-share the air.
+  // peers[j] = number of active cells contending with extender j (1 when
+  // every extender has its own channel).
   scratch.peers.assign(num_ext, 1.0);
   if (const std::vector<int>* wifi_domain = ResolveWifiDomains(net, scratch)) {
     scratch.active_in_wifi_domain.clear();
@@ -657,6 +444,9 @@ const EvalResult& Evaluator::Evaluate(const Network& net,
   }
 
   // Per-extender WiFi demand (Eq. 1 aggregate) and dead-backhaul flags.
+  // Users camped on an extender whose power-line link is dead (c_j = 0,
+  // e.g. a failure injected mid-run) get zero end-to-end throughput; the
+  // extender consumes no PLC airtime.
   scratch.wifi_demand.assign(num_ext, 0.0);
   scratch.dead_backhaul.assign(num_ext, 0);
   const double* plc = soa.plc_rate.data();
@@ -673,8 +463,27 @@ const EvalResult& Evaluator::Evaluate(const Network& net,
     wifi_demand[j] = static_cast<double>(load[j]) / sums[j] / peers[j];
   }
 
-  // PLC side: airtime allocation per contention domain, reading the CSR
-  // cached in the SoA view (the reference rebuilds it every call).
+  // The demand regime, chosen once per evaluation: does any ASSIGNED user
+  // carry a finite offered load? (0 = saturated, the paper's assumption.) It
+  // cannot be chosen per cell: the saturated n / sum / peers form and the
+  // demand-aware allocation's level round differently, so a cell of
+  // saturated users reports the allocation's value whenever any other cell
+  // carries a demand.
+  bool any_demand = false;
+  if (soa.any_finite_demand) {
+    for (std::size_t i = 0; i < num_users; ++i) {
+      if (ext_of[i] != Assignment::kUnassigned && soa.demand[i] > 0.0) {
+        any_demand = true;
+        break;
+      }
+    }
+  }
+  if (any_demand) AllocateDemandCells(net, ext_of, scratch);
+
+  // PLC side: airtime allocation, independently per contention domain
+  // (extenders on separate power-line segments do not share airtime; with
+  // the default single domain this is the paper's model verbatim), over the
+  // CSR cached in the SoA view.
   scratch.domain_active.assign(soa.num_domains, 0);
   for (std::size_t j = 0; j < num_ext; ++j) {
     if (load[j] > 0) {
@@ -688,28 +497,12 @@ const EvalResult& Evaluator::Evaluate(const Network& net,
     const std::size_t count =
         static_cast<std::size_t>(soa.domain_start[d + 1]) - begin;
     if (count == 0) continue;
-    const int* members = soa.domain_items.data() + begin;
-    switch (options_.plc_sharing) {
-      case PlcSharing::kMaxMinActive:
-        detail::MaxMinSharesInPlace(members, count, plc, wifi_demand,
-                                    scratch.time_share.data(),
-                                    scratch.mm_idx.data());
-        break;
-      case PlcSharing::kEqualActive:
-        detail::EqualSharesInPlace(members, count, wifi_demand,
-                                   scratch.time_share.data(),
-                                   /*denominator_all=*/false);
-        break;
-      case PlcSharing::kEqualAll:
-        detail::EqualSharesInPlace(members, count, wifi_demand,
-                                   scratch.time_share.data(),
-                                   /*denominator_all=*/true);
-        break;
-    }
+    detail::AllocateAirtime(options_.plc_sharing,
+                            soa.domain_items.data() + begin, count, plc,
+                            wifi_demand, scratch.time_share.data(),
+                            scratch.mm_idx.data());
   }
 
-  // Reports and bottleneck attribution — expression-for-expression the
-  // reference arithmetic, reading SoA arrays instead of Network accessors.
   for (std::size_t j = 0; j < num_ext; ++j) {
     ExtenderReport& rep = result.extenders[j];
     rep.num_users = load[j];
@@ -726,6 +519,11 @@ const EvalResult& Evaluator::Evaluate(const Network& net,
     }
     rep.end_to_end_mbps =
         std::min(rep.wifi_throughput_mbps, rep.plc_throughput_mbps);
+    // Demand fully met -> the WiFi side limits (under max-min allocation a
+    // sated extender's airtime is capped at exactly its demand, so comparing
+    // wifi vs allocated-plc throughput would misread it as balanced). An
+    // extender is "balanced" only when its demand coincides with the equal
+    // airtime share it is entitled to within its contention domain.
     const std::size_t d = static_cast<std::size_t>(soa.plc_domain[j]);
     const double share_denominator =
         options_.plc_sharing == PlcSharing::kEqualAll
@@ -769,7 +567,13 @@ const EvalResult& Evaluator::Evaluate(const Network& net,
     if (dead_n) s->eval.dead_backhaul.Add(dead_n);
   }
 
-  // Saturated TCP fair split: equal share of the cell's bottleneck rate.
+  // TCP shares the extender's bottleneck throughput fairly among its users
+  // (§IV-A): equal split when everyone is saturated, max-min with each
+  // user's WiFi allocation as the cap otherwise.
+  if (any_demand) {
+    SplitDemandCells(scratch);
+    return result;
+  }
   for (std::size_t i = 0; i < num_users; ++i) {
     const int e = ext_of[i];
     if (e == Assignment::kUnassigned) continue;

@@ -53,20 +53,15 @@ const char* ToString(PlcSharing s);
 
 struct EvalOptions {
   PlcSharing plc_sharing = PlcSharing::kMaxMinActive;
-  // Optional co-channel WiFi contention. Empty (default) models the paper's
-  // assumption that every extender has its own channel. When set (one
-  // domain id per extender, e.g. from wifi::ContentionDomains), active
-  // cells sharing a domain time-share the air: each cell's WiFi throughput
-  // is divided by the number of active cells in its domain.
-  std::vector<int> wifi_contention_domain{};
-  // Channel-plan mode: one channel index per extender (>= 0). Contention
-  // domains are *derived* — connected components of the "same channel AND
-  // within carrier_sense_range_m" graph over extender positions — then fed
-  // through the same co-channel airtime machinery as
-  // wifi_contention_domain. A plan in which no two co-channel extenders are
-  // in carrier-sense range (in particular, any all-distinct plan) yields
-  // singleton domains and is bit-identical to the legacy evaluator.
-  // Mutually exclusive with wifi_contention_domain.
+  // Optional channel plan: one WiFi channel index (>= 0) per extender.
+  // Empty (default) models the paper's assumption that every extender has
+  // its own channel. When set, co-channel contention domains are derived by
+  // CoChannelDomains — connected components of the "same channel AND within
+  // carrier_sense_range_m" graph over extender positions — and active cells
+  // sharing a domain time-share the air: each cell's WiFi throughput is
+  // divided by the number of active cells in its domain. A plan in which no
+  // two co-channel extenders are in range (in particular, any all-distinct
+  // plan) yields singleton domains and is bit-identical to no plan.
   std::vector<int> wifi_channel{};
   // Carrier-sense range for deriving co-channel contention from geometry.
   double carrier_sense_range_m = 60.0;
@@ -97,8 +92,8 @@ struct EvalScratch {
   EvalResult result;
 
   // Cached SoA view of the last evaluated network; rebuilt only when the
-  // network's Version() changed (the saturated fast path reads rates,
-  // domains and the PLC-domain CSR from here instead of the Network).
+  // network's Version() changed. The kernel reads rates, demands and the
+  // PLC-domain CSR from here instead of the Network.
   NetworkSoA soa;
 
   // Per-extender accumulators.
@@ -106,23 +101,18 @@ struct EvalScratch {
   std::vector<int> load;
   std::vector<double> peers;
   std::vector<double> wifi_demand;
-  std::vector<double> plc_rates;
   std::vector<double> time_share;
   std::vector<unsigned char> dead_backhaul;
 
-  // Per-domain bookkeeping (CSR grouping of extenders by PLC domain).
-  std::vector<int> domain_start;  // size = num_domains + 1
-  std::vector<int> domain_items;  // size = num_extenders
-  std::vector<int> domain_size;
+  // Per-domain active counts (PLC domains; co-channel WiFi domains).
   std::vector<int> domain_active;
   std::vector<int> active_in_wifi_domain;
 
-  // Channel-plan mode: derived co-channel contention domains (one id per
-  // extender) plus the cache key they were computed under. Deriving runs a
-  // union-find over extender pairs, so it is cached on (network Version,
-  // plan, carrier-sense range) and reused while none of those change.
+  // Co-channel contention domains derived from the channel plan, plus the
+  // cache key they were computed under: deriving runs a union-find over
+  // extender pairs, so it is cached on (network Version, plan, carrier-sense
+  // range) and reused while none of those change.
   std::vector<int> channel_domains;
-  std::vector<int> channel_parent;      // union-find scratch
   std::vector<int> chan_cache_plan;
   double chan_cache_range = 0.0;
   std::uint64_t chan_cache_version = 0;
@@ -131,9 +121,12 @@ struct EvalScratch {
   // Max-min progressive-filling index buffer (two-pointer compaction).
   std::vector<std::size_t> mm_idx;
 
-  // Demand-path buffers (allocate only when finite demands are present).
-  std::vector<std::vector<std::size_t>> cell_users;
-  std::vector<std::vector<double>> cell_caps;
+  // Demand-regime buffers (grow only when finite demands are present):
+  // the users of each cell as a CSR in ascending user order, each user's
+  // WiFi allocation (its cap in the TCP re-sharing), and gather buffers.
+  std::vector<int> cell_start;
+  std::vector<std::size_t> cell_users;
+  std::vector<double> cell_caps;
   std::vector<double> tmp_rates;
   std::vector<double> tmp_demands;
 };
@@ -149,19 +142,14 @@ class Evaluator {
 
   // Hot-path variant: evaluates into `scratch` and returns scratch.result.
   // No heap allocation on the saturated path once the scratch has warmed up.
-  // Uses the structure-of-arrays kernel on the saturated path (contiguous
-  // reciprocal-rate rows, cached PLC-domain CSR); results are bit-identical
-  // to EvaluateReference in every field.
+  // The one throughput kernel: structure-of-arrays reads (contiguous
+  // reciprocal-rate rows, cached PLC-domain CSR), with the demand regime
+  // chosen once per evaluation — when any assigned user carries a finite
+  // demand, every live cell is allocated by WifiCellAllocation on the raw
+  // rates and its users split by MaxMinWithCaps; otherwise the saturated
+  // Eq. 1 harmonic sums apply.
   const EvalResult& Evaluate(const Network& net, const Assignment& assign,
                              EvalScratch& scratch) const;
-
-  // The straight-line reference implementation (per-user Network accessor
-  // walks, CSR rebuilt per call). Kept as the differential baseline for the
-  // SoA kernel (tests/evaluator_soa_test.cc) and as the path for
-  // demand-carrying evaluations. Same results, same exceptions.
-  const EvalResult& EvaluateReference(const Network& net,
-                                      const Assignment& assign,
-                                      EvalScratch& scratch) const;
 
   // Aggregate end-to-end throughput only (same computation, convenience).
   double AggregateThroughput(const Network& net,
@@ -170,28 +158,33 @@ class Evaluator {
   const EvalOptions& options() const { return options_; }
 
  private:
-  // Resolves the per-extender co-channel WiFi contention domains for this
-  // evaluation, or nullptr when neither wifi_contention_domain nor
-  // wifi_channel is set (the paper's orthogonal assumption). Explicit
-  // domains are returned as-is; a channel plan is turned into domains by
-  // union-find over co-channel extender pairs within carrier-sense range,
-  // cached in `scratch` keyed on (Version, plan, range). Throws
-  // std::invalid_argument on malformed options (both modes set, wrong
-  // sizes, negative ids).
+  // Co-channel WiFi contention domains for this evaluation (cached in
+  // `scratch` keyed on (Version, plan, range)), or nullptr when no channel
+  // plan is set (the paper's orthogonal assumption).
   const std::vector<int>* ResolveWifiDomains(const Network& net,
                                              EvalScratch& scratch) const;
 
   EvalOptions options_;
 };
 
+// Co-channel contention domains of a channel plan: connected components of
+// the graph joining co-channel extender pairs within `range_m` (distance
+// <= range). Writes one dense domain id per extender into `domains`,
+// numbered by each component's lowest extender id (so ids are
+// deterministic). Throws std::invalid_argument on a plan of the wrong size,
+// a negative channel index or a negative range.
+void CoChannelDomains(const Network& net, const std::vector<int>& channels,
+                      double range_m, std::vector<int>& domains);
+
 namespace detail {
 
 // Max-min fair airtime over the extenders listed in `members` (progressive
-// filling with demand caps, §III-A / Fig. 3c). Same arithmetic as
-// plc::MaxMinTimeShare but operating in place on per-extender arrays with a
-// caller-provided index buffer (size >= count), so hot paths never
-// allocate. Shared by Evaluator and IncrementalEvaluator so both engines
-// produce bit-identical airtime shares.
+// filling with demand caps, §III-A / Fig. 3c): equal shares of the time
+// left among the backlogged extenders; an extender whose demand fits its
+// share is capped at exactly demand/rate and the surplus is re-split among
+// the rest until no one is sated. Operates in place on per-extender arrays
+// with a caller-provided index buffer (size >= count), so hot paths never
+// allocate. An extender demanding 0 gets no airtime.
 void MaxMinSharesInPlace(const int* members, std::size_t count,
                          const double* rates, const double* demands,
                          double* time_share, std::size_t* idx);
@@ -201,6 +194,14 @@ void MaxMinSharesInPlace(const int* members, std::size_t count,
 void EqualSharesInPlace(const int* members, std::size_t count,
                         const double* demands, double* time_share,
                         bool denominator_all);
+
+// The airtime allocation of one PLC contention domain under `sharing`:
+// the single dispatch Evaluator and IncrementalEvaluator both call, so the
+// two engines produce bit-identical airtime shares.
+void AllocateAirtime(PlcSharing sharing, const int* members,
+                     std::size_t count, const double* rates,
+                     const double* demands, double* time_share,
+                     std::size_t* idx);
 
 }  // namespace detail
 

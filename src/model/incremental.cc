@@ -12,35 +12,26 @@ IncrementalEvaluator::IncrementalEvaluator(const Network& net,
                                            double log_floor_mbps,
                                            bool track_log_utility)
     : net_(&net),
-      options_(std::move(options)),
+      evaluator_(std::move(options)),
       log_floor_(log_floor_mbps),
       log_of_floor_(std::log(log_floor_mbps)),
-      track_log_(track_log_utility),
-      evaluator_(options_) {
+      track_log_(track_log_utility) {
   if (assign.NumUsers() != net.NumUsers()) {
     throw std::invalid_argument("assignment/network user count mismatch");
   }
-  const std::size_t num_users = net.NumUsers();
-  const std::size_t num_ext = net.NumExtenders();
+  scratch_.soa.Refresh(net);
+  const NetworkSoA& soa = scratch_.soa;
+  const std::size_t num_users = soa.num_users;
+  const std::size_t num_ext = soa.num_extenders;
 
   // Deltas are separable only in the saturated, contention-free model; any
   // finite demand (even on a currently unassigned user — it could be moved
-  // in later) or co-channel WiFi coupling forces the exact fallback.
+  // in later) or a channel plan's co-channel coupling forces the exact
+  // fallback.
   incremental_ =
-      options_.wifi_contention_domain.empty() && options_.wifi_channel.empty();
-  if (incremental_) {
-    for (std::size_t i = 0; i < num_users; ++i) {
-      if (net.UserDemand(i) > 0.0) {
-        incremental_ = false;
-        break;
-      }
-    }
-  }
+      evaluator_.options().wifi_channel.empty() && !soa.any_finite_demand;
 
-  ext_of_.assign(num_users, Assignment::kUnassigned);
-  for (std::size_t i = 0; i < num_users; ++i) {
-    ext_of_[i] = assign.ExtenderOf(i);
-  }
+  ext_of_.assign(assign.Data(), assign.Data() + num_users);
   load_.assign(num_ext, 0);
 
   if (!incremental_) {
@@ -53,15 +44,6 @@ IncrementalEvaluator::IncrementalEvaluator(const Network& net,
     return;
   }
 
-  inv_rate_.assign(num_users * num_ext, 0.0);
-  for (std::size_t i = 0; i < num_users; ++i) {
-    double* inv = &inv_rate_[i * num_ext];
-    for (std::size_t j = 0; j < num_ext; ++j) {
-      const double r = net.WifiRate(i, j);
-      if (r > 0.0) inv[j] = 1.0 / r;
-    }
-  }
-
   inv_sum_.assign(num_ext, 0.0);
   for (std::size_t i = 0; i < num_users; ++i) {
     const int e = ext_of_[i];
@@ -69,7 +51,7 @@ IncrementalEvaluator::IncrementalEvaluator(const Network& net,
     if (e < 0 || static_cast<std::size_t>(e) >= num_ext) {
       throw std::invalid_argument("assignment references unknown extender");
     }
-    const double inv = inv_rate_[i * num_ext + static_cast<std::size_t>(e)];
+    const double inv = soa.InvRow(i)[static_cast<std::size_t>(e)];
     if (inv <= 0.0) {
       throw std::invalid_argument("user assigned to unreachable extender");
     }
@@ -77,37 +59,8 @@ IncrementalEvaluator::IncrementalEvaluator(const Network& net,
     inv_sum_[static_cast<std::size_t>(e)] += inv;
   }
 
-  plc_rate_.assign(num_ext, 0.0);
   wifi_demand_.assign(num_ext, 0.0);
-  for (std::size_t j = 0; j < num_ext; ++j) {
-    plc_rate_[j] = net.PlcRate(j);
-    RefreshWifiDemand(j);
-  }
-
-  // CSR grouping of extenders by PLC domain (counting sort, ascending
-  // extender order within a domain — the same member order the full
-  // evaluator uses, so airtime arithmetic matches bit for bit).
-  std::size_t num_domains = 0;
-  domain_of_.assign(num_ext, 0);
-  for (std::size_t j = 0; j < num_ext; ++j) {
-    const int d = net.PlcDomain(j);
-    domain_of_[j] = d;
-    num_domains = std::max(num_domains, static_cast<std::size_t>(d) + 1);
-  }
-  domain_start_.assign(num_domains + 1, 0);
-  for (std::size_t j = 0; j < num_ext; ++j) {
-    ++domain_start_[static_cast<std::size_t>(domain_of_[j]) + 1];
-  }
-  for (std::size_t d = 0; d < num_domains; ++d) {
-    domain_start_[d + 1] += domain_start_[d];
-  }
-  domain_items_.assign(num_ext, 0);
-  std::vector<int> cursor(num_domains, 0);
-  for (std::size_t j = 0; j < num_ext; ++j) {
-    const std::size_t d = static_cast<std::size_t>(domain_of_[j]);
-    domain_items_[static_cast<std::size_t>(domain_start_[d] + cursor[d]++)] =
-        static_cast<int>(j);
-  }
+  for (std::size_t j = 0; j < num_ext; ++j) RefreshWifiDemand(j);
 
   time_share_.assign(num_ext, 0.0);
   contrib_agg_.assign(num_ext, 0.0);
@@ -115,7 +68,9 @@ IncrementalEvaluator::IncrementalEvaluator(const Network& net,
   mm_idx_.assign(num_ext, 0);
   peek_ts_.assign(num_ext, 0.0);
   values_ = IncrementalValues{};
-  for (std::size_t d = 0; d < num_domains; ++d) RecomputeDomain(d);
+  for (std::size_t d = 0; d < soa.num_domains; ++d) {
+    ReshareDomain(d, time_share_.data(), values_, /*commit=*/true);
+  }
 }
 
 double IncrementalEvaluator::log_utility() const {
@@ -127,7 +82,7 @@ double IncrementalEvaluator::log_utility() const {
 }
 
 void IncrementalEvaluator::RefreshWifiDemand(std::size_t ext) {
-  wifi_demand_[ext] = (load_[ext] > 0 && plc_rate_[ext] > 0.0)
+  wifi_demand_[ext] = (load_[ext] > 0 && scratch_.soa.plc_rate[ext] > 0.0)
                           ? static_cast<double>(load_[ext]) / inv_sum_[ext]
                           : 0.0;
 }
@@ -139,14 +94,14 @@ void IncrementalEvaluator::ContributionOf(std::size_t ext,
   *log = 0.0;
   const int n = load_[ext];
   if (n == 0) return;
-  if (plc_rate_[ext] <= 0.0) {
+  const double plc = scratch_.soa.plc_rate[ext];
+  if (plc <= 0.0) {
     // Dead backhaul: users are stuck at zero end-to-end throughput; the
     // proportional-fair objective floors them.
     if (track_log_) *log = static_cast<double>(n) * log_of_floor_;
     return;
   }
-  const double end_to_end =
-      std::min(wifi_demand_[ext], time_share[ext] * plc_rate_[ext]);
+  const double end_to_end = std::min(wifi_demand_[ext], time_share[ext] * plc);
   *agg = end_to_end;
   if (track_log_) {
     const double per_user = end_to_end / static_cast<double>(n);
@@ -154,42 +109,35 @@ void IncrementalEvaluator::ContributionOf(std::size_t ext,
   }
 }
 
-void IncrementalEvaluator::RecomputeDomain(std::size_t domain) {
-  const std::size_t begin = static_cast<std::size_t>(domain_start_[domain]);
+void IncrementalEvaluator::ReshareDomain(std::size_t domain,
+                                         double* time_share,
+                                         IncrementalValues& values,
+                                         bool commit) {
+  const NetworkSoA& soa = scratch_.soa;
+  const std::size_t begin = static_cast<std::size_t>(soa.domain_start[domain]);
   const std::size_t count =
-      static_cast<std::size_t>(domain_start_[domain + 1]) - begin;
+      static_cast<std::size_t>(soa.domain_start[domain + 1]) - begin;
   if (count == 0) return;
-  const int* members = domain_items_.data() + begin;
+  const int* members = soa.domain_items.data() + begin;
 
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t j = static_cast<std::size_t>(members[k]);
-    values_.aggregate_mbps -= contrib_agg_[j];
-    values_.log_utility -= contrib_log_[j];
+    values.aggregate_mbps -= contrib_agg_[j];
+    values.log_utility -= contrib_log_[j];
   }
-
-  switch (options_.plc_sharing) {
-    case PlcSharing::kMaxMinActive:
-      detail::MaxMinSharesInPlace(members, count, plc_rate_.data(),
-                                  wifi_demand_.data(), time_share_.data(),
-                                  mm_idx_.data());
-      break;
-    case PlcSharing::kEqualActive:
-      detail::EqualSharesInPlace(members, count, wifi_demand_.data(),
-                                 time_share_.data(),
-                                 /*denominator_all=*/false);
-      break;
-    case PlcSharing::kEqualAll:
-      detail::EqualSharesInPlace(members, count, wifi_demand_.data(),
-                                 time_share_.data(),
-                                 /*denominator_all=*/true);
-      break;
-  }
-
+  detail::AllocateAirtime(evaluator_.options().plc_sharing, members, count,
+                          soa.plc_rate.data(), wifi_demand_.data(), time_share,
+                          mm_idx_.data());
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t j = static_cast<std::size_t>(members[k]);
-    ContributionOf(j, time_share_.data(), &contrib_agg_[j], &contrib_log_[j]);
-    values_.aggregate_mbps += contrib_agg_[j];
-    values_.log_utility += contrib_log_[j];
+    double agg = 0.0, lg = 0.0;
+    ContributionOf(j, time_share, &agg, &lg);
+    values.aggregate_mbps += agg;
+    values.log_utility += lg;
+    if (commit) {
+      contrib_agg_[j] = agg;
+      contrib_log_[j] = lg;
+    }
   }
 }
 
@@ -198,7 +146,7 @@ IncrementalValues IncrementalEvaluator::PeekCells(const std::size_t* cells,
                                                   const double* peek_demand,
                                                   std::size_t count) {
   // Temporarily install the hypothetical (load, wifi_demand) of the touched
-  // cells; everything below reads only those two arrays plus plc_rate_.
+  // cells; the reshare reads only those two arrays plus the PLC rates.
   int saved_load[2];
   double saved_demand[2];
   for (std::size_t k = 0; k < count; ++k) {
@@ -209,43 +157,12 @@ IncrementalValues IncrementalEvaluator::PeekCells(const std::size_t* cells,
   }
 
   IncrementalValues peeked = values_;
-  const int d0 = domain_of_[cells[0]];
+  const int* domain_of = scratch_.soa.plc_domain.data();
   for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t d = static_cast<std::size_t>(domain_of_[cells[k]]);
-    if (k > 0 && static_cast<int>(d) == d0) continue;  // already recomputed
-    const std::size_t begin = static_cast<std::size_t>(domain_start_[d]);
-    const std::size_t n =
-        static_cast<std::size_t>(domain_start_[d + 1]) - begin;
-    const int* members = domain_items_.data() + begin;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t j = static_cast<std::size_t>(members[i]);
-      peeked.aggregate_mbps -= contrib_agg_[j];
-      peeked.log_utility -= contrib_log_[j];
-    }
-    switch (options_.plc_sharing) {
-      case PlcSharing::kMaxMinActive:
-        detail::MaxMinSharesInPlace(members, n, plc_rate_.data(),
-                                    wifi_demand_.data(), peek_ts_.data(),
-                                    mm_idx_.data());
-        break;
-      case PlcSharing::kEqualActive:
-        detail::EqualSharesInPlace(members, n, wifi_demand_.data(),
-                                   peek_ts_.data(),
-                                   /*denominator_all=*/false);
-        break;
-      case PlcSharing::kEqualAll:
-        detail::EqualSharesInPlace(members, n, wifi_demand_.data(),
-                                   peek_ts_.data(),
-                                   /*denominator_all=*/true);
-        break;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t j = static_cast<std::size_t>(members[i]);
-      double agg = 0.0, lg = 0.0;
-      ContributionOf(j, peek_ts_.data(), &agg, &lg);
-      peeked.aggregate_mbps += agg;
-      peeked.log_utility += lg;
-    }
+    // A second cell in the first cell's domain was already recomputed.
+    if (k > 0 && domain_of[cells[k]] == domain_of[cells[0]]) continue;
+    ReshareDomain(static_cast<std::size_t>(domain_of[cells[k]]),
+                  peek_ts_.data(), peeked, /*commit=*/false);
   }
 
   for (std::size_t k = 0; k < count; ++k) {
@@ -277,9 +194,9 @@ double IncrementalEvaluator::UserThroughput(std::size_t user) {
     return scratch_.result.user_throughput_mbps[user];
   }
   const std::size_t j = static_cast<std::size_t>(e);
-  if (plc_rate_[j] <= 0.0) return 0.0;
-  const double end_to_end =
-      std::min(wifi_demand_[j], time_share_[j] * plc_rate_[j]);
+  const double plc = scratch_.soa.plc_rate[j];
+  if (plc <= 0.0) return 0.0;
+  const double end_to_end = std::min(wifi_demand_[j], time_share_[j] * plc);
   return end_to_end / static_cast<double>(load_[j]);
 }
 
@@ -293,11 +210,7 @@ void IncrementalEvaluator::ApplyMove(std::size_t user, int to) {
     if (to < 0 || static_cast<std::size_t>(to) >= load_.size()) {
       throw std::invalid_argument("move references unknown extender");
     }
-    const double r_to =
-        incremental_
-            ? inv_rate_[user * load_.size() + static_cast<std::size_t>(to)]
-            : net_->WifiRate(user, static_cast<std::size_t>(to));
-    if (r_to <= 0.0) {
+    if (scratch_.soa.InvRow(user)[static_cast<std::size_t>(to)] <= 0.0) {
       throw std::invalid_argument("move to unreachable extender");
     }
   }
@@ -319,7 +232,7 @@ void IncrementalEvaluator::ApplyMove(std::size_t user, int to) {
     return;
   }
 
-  const double* inv = &inv_rate_[user * load_.size()];
+  const double* inv = scratch_.soa.InvRow(user);
   if (from != Assignment::kUnassigned) {
     const std::size_t f = static_cast<std::size_t>(from);
     --load_[f];
@@ -335,16 +248,20 @@ void IncrementalEvaluator::ApplyMove(std::size_t user, int to) {
   }
   ext_of_[user] = to;
 
-  const int d_from =
-      from != Assignment::kUnassigned
-          ? domain_of_[static_cast<std::size_t>(from)]
-          : -1;
+  const int* domain_of = scratch_.soa.plc_domain.data();
+  const int d_from = from != Assignment::kUnassigned
+                         ? domain_of[static_cast<std::size_t>(from)]
+                         : -1;
   const int d_to = to != Assignment::kUnassigned
-                       ? domain_of_[static_cast<std::size_t>(to)]
+                       ? domain_of[static_cast<std::size_t>(to)]
                        : -1;
-  if (d_from >= 0) RecomputeDomain(static_cast<std::size_t>(d_from));
+  if (d_from >= 0) {
+    ReshareDomain(static_cast<std::size_t>(d_from), time_share_.data(),
+                  values_, /*commit=*/true);
+  }
   if (d_to >= 0 && d_to != d_from) {
-    RecomputeDomain(static_cast<std::size_t>(d_to));
+    ReshareDomain(static_cast<std::size_t>(d_to), time_share_.data(), values_,
+                  /*commit=*/true);
   }
 }
 
@@ -362,7 +279,7 @@ IncrementalValues IncrementalEvaluator::PeekMove(std::size_t user, int to) {
       mirror_.Unassign(user);
     } else {
       if (static_cast<std::size_t>(to) >= load_.size() ||
-          net_->WifiRate(user, static_cast<std::size_t>(to)) <= 0.0) {
+          scratch_.soa.InvRow(user)[static_cast<std::size_t>(to)] <= 0.0) {
         throw std::invalid_argument("move to unreachable extender");
       }
       mirror_.Assign(user, static_cast<std::size_t>(to));
@@ -380,7 +297,8 @@ IncrementalValues IncrementalEvaluator::PeekMove(std::size_t user, int to) {
   }
 
   const std::size_t num_ext = load_.size();
-  const double* inv = &inv_rate_[user * num_ext];
+  const double* plc = scratch_.soa.plc_rate.data();
+  const double* inv = scratch_.soa.InvRow(user);
   std::size_t cells[2];
   int peek_load[2];
   double peek_demand[2];
@@ -393,7 +311,7 @@ IncrementalValues IncrementalEvaluator::PeekMove(std::size_t user, int to) {
     cells[count] = f;
     peek_load[count] = n;
     peek_demand[count] =
-        (n > 0 && plc_rate_[f] > 0.0) ? static_cast<double>(n) / s : 0.0;
+        (n > 0 && plc[f] > 0.0) ? static_cast<double>(n) / s : 0.0;
     ++count;
   }
   if (to != Assignment::kUnassigned) {
@@ -404,7 +322,7 @@ IncrementalValues IncrementalEvaluator::PeekMove(std::size_t user, int to) {
     const int n = load_[t] + 1;
     cells[count] = t;
     peek_load[count] = n;
-    peek_demand[count] = plc_rate_[t] > 0.0
+    peek_demand[count] = plc[t] > 0.0
                              ? static_cast<double>(n) / (inv_sum_[t] + inv[t])
                              : 0.0;
     ++count;
@@ -429,7 +347,8 @@ IncrementalValues IncrementalEvaluator::PeekSwap(std::size_t u1,
 
   if (!incremental_) {
     const IncrementalValues saved = values_;
-    if (net_->WifiRate(u1, x2) <= 0.0 || net_->WifiRate(u2, x1) <= 0.0) {
+    if (scratch_.soa.InvRow(u1)[x2] <= 0.0 ||
+        scratch_.soa.InvRow(u2)[x1] <= 0.0) {
       throw std::invalid_argument("swap to unreachable extender");
     }
     mirror_.Assign(u1, x2);
@@ -443,9 +362,9 @@ IncrementalValues IncrementalEvaluator::PeekSwap(std::size_t u1,
     return peeked;
   }
 
-  const std::size_t num_ext = load_.size();
-  const double* inv1 = &inv_rate_[u1 * num_ext];
-  const double* inv2 = &inv_rate_[u2 * num_ext];
+  const double* plc = scratch_.soa.plc_rate.data();
+  const double* inv1 = scratch_.soa.InvRow(u1);
+  const double* inv2 = scratch_.soa.InvRow(u2);
   if (inv1[x2] <= 0.0 || inv2[x1] <= 0.0) {
     throw std::invalid_argument("swap to unreachable extender");
   }
@@ -455,12 +374,10 @@ IncrementalValues IncrementalEvaluator::PeekSwap(std::size_t u1,
   double peek_demand[2];
   const double s1 = inv_sum_[x1] - inv1[x1] + inv2[x1];
   const double s2 = inv_sum_[x2] - inv2[x2] + inv1[x2];
-  peek_demand[0] = plc_rate_[x1] > 0.0
-                       ? static_cast<double>(load_[x1]) / s1
-                       : 0.0;
-  peek_demand[1] = plc_rate_[x2] > 0.0
-                       ? static_cast<double>(load_[x2]) / s2
-                       : 0.0;
+  peek_demand[0] =
+      plc[x1] > 0.0 ? static_cast<double>(load_[x1]) / s1 : 0.0;
+  peek_demand[1] =
+      plc[x2] > 0.0 ? static_cast<double>(load_[x2]) / s2 : 0.0;
   return PeekCells(cells, peek_load, peek_demand, 2);
 }
 

@@ -20,14 +20,21 @@
 // A single-user move therefore costs O(|domain|) with zero allocations
 // instead of O(U x E) with fresh vectors.
 //
-// Exact-fallback: when per-user demand caps or co-channel WiFi contention
-// are in play, a move's effect is not separable per extender (a cell going
-// active/idle changes OTHER cells' airtime in its WiFi contention domain,
-// and demand-capped allocations couple users within a cell). In those
-// configurations the engine transparently falls back to a full — but
+// Exact-fallback: when per-user demand caps or a WiFi channel plan are in
+// play, a move's effect is not separable per extender (a cell going
+// active/idle changes OTHER cells' airtime in its co-channel contention
+// domain, and demand-capped allocations couple users within a cell). In
+// those configurations the engine transparently falls back to a full — but
 // allocation-free, via a reused EvalScratch — re-evaluation per move, so
 // callers get identical semantics either way. `incremental()` reports
 // which regime is active.
+//
+// Where the rates come from: the engine owns one EvalScratch and refreshes
+// its NetworkSoA view at construction. Both regimes read the reciprocal
+// rates, PLC rates, PLC-domain CSR and the finite-demand flag from that one
+// view (the fallback's full evaluations read the same scratch), and both
+// allocate airtime through detail::AllocateAirtime, the dispatch the
+// evaluator uses — so the engine holds no copy of the network's tables.
 #pragma once
 
 #include <cstddef>
@@ -105,7 +112,11 @@ class IncrementalEvaluator {
   IncrementalValues MoveDelta(std::size_t user, int to);
 
  private:
-  void RecomputeDomain(std::size_t domain);
+  // Re-allocates `domain`'s airtime into `time_share` and moves `values`
+  // from the domain members' committed contributions to their new ones;
+  // with `commit`, the new contributions become the committed ones.
+  void ReshareDomain(std::size_t domain, double* time_share,
+                     IncrementalValues& values, bool commit);
   void ContributionOf(std::size_t ext, const double* time_share, double* agg,
                       double* log) const;
   void RefreshWifiDemand(std::size_t ext);
@@ -118,7 +129,7 @@ class IncrementalEvaluator {
                               const double* peek_demand, std::size_t count);
 
   const Network* net_;
-  EvalOptions options_;
+  Evaluator evaluator_;
   double log_floor_;
   double log_of_floor_;
   bool incremental_ = true;
@@ -127,28 +138,22 @@ class IncrementalEvaluator {
   IncrementalValues values_;
 
   std::vector<int> ext_of_;
+  std::vector<int> load_;
+  // The network's SoA view (scratch_.soa) and, in the fallback regime, the
+  // full evaluator's workspace.
+  EvalScratch scratch_;
 
   // --- Incremental-mode state -------------------------------------------
-  std::vector<int> load_;
   std::vector<double> inv_sum_;
   std::vector<double> wifi_demand_;
-  std::vector<double> plc_rate_;
   std::vector<double> time_share_;
   std::vector<double> contrib_agg_;
   std::vector<double> contrib_log_;
-  // 1 / r_ij, row-major; 0 when user i cannot reach extender j.
-  std::vector<double> inv_rate_;
-  // CSR grouping of extenders by PLC domain.
-  std::vector<int> domain_of_;
-  std::vector<int> domain_start_;
-  std::vector<int> domain_items_;
   std::vector<std::size_t> mm_idx_;  // max-min scratch
   std::vector<double> peek_ts_;      // time-share scratch for peeks
 
   // --- Fallback-mode state ----------------------------------------------
-  Evaluator evaluator_;
   Assignment mirror_;
-  EvalScratch scratch_;
   bool result_stale_ = false;
 };
 

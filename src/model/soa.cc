@@ -3,6 +3,22 @@
 #include <algorithm>
 
 namespace wolt::model {
+namespace {
+
+// Writes the column-major copy of the row-major num_rows x num_cols matrix
+// `rows` into `out` (out[c * num_rows + r] = rows[r * num_cols + c]).
+void TransposeInto(const double* rows, std::size_t num_rows,
+                   std::size_t num_cols, std::vector<double>& out) {
+  out.resize(num_rows * num_cols);
+  for (std::size_t i = 0; i < num_rows; ++i) {
+    const double* row = rows + i * num_cols;
+    for (std::size_t j = 0; j < num_cols; ++j) {
+      out[j * num_rows + i] = row[j];
+    }
+  }
+}
+
+}  // namespace
 
 bool NetworkSoA::Refresh(const Network& net) {
   if (built_ && Matches(net)) return false;
@@ -69,17 +85,6 @@ const double* NetworkSoA::InvRateColumns() const {
     transposed_ = true;
   }
   return inv_rate_t_.data();
-}
-
-void TransposeInto(const double* rows, std::size_t num_rows,
-                   std::size_t num_cols, std::vector<double>& out) {
-  out.resize(num_rows * num_cols);
-  for (std::size_t i = 0; i < num_rows; ++i) {
-    const double* row = rows + i * num_cols;
-    for (std::size_t j = 0; j < num_cols; ++j) {
-      out[j * num_rows + i] = row[j];
-    }
-  }
 }
 
 }  // namespace wolt::model

@@ -74,9 +74,4 @@ struct NetworkSoA {
   mutable bool transposed_ = false;
 };
 
-// Writes the column-major copy of the row-major num_rows x num_cols matrix
-// `rows` into `out` (out[c * num_rows + r] = rows[r * num_cols + c]).
-void TransposeInto(const double* rows, std::size_t num_rows,
-                   std::size_t num_cols, std::vector<double>& out);
-
 }  // namespace wolt::model

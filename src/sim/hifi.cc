@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "plc/timeshare.h"
+#include "model/evaluator.h"
 
 namespace wolt::sim {
 
@@ -39,10 +39,10 @@ HifiResult SimulateHifi(const model::Network& net,
   }
 
   std::vector<std::vector<double>> cell_user_wifi(num_ext);
-  std::vector<std::size_t> active;
+  std::vector<int> active;  // member list for the airtime allocator
   for (std::size_t j = 0; j < num_ext; ++j) {
     if (cell_users[j].empty()) continue;
-    active.push_back(j);
+    active.push_back(static_cast<int>(j));
     std::vector<double> phy_rates;
     phy_rates.reserve(cell_users[j].size());
     for (std::size_t i : cell_users[j]) {
@@ -92,11 +92,15 @@ HifiResult SimulateHifi(const model::Network& net,
     plc_rates[j] = sim_isolation[j] * efficiency;
     demands[j] = result.wifi_cell_mbps[j];
   }
-  const plc::TimeShareResult shares =
-      plc::MaxMinTimeShare(plc_rates, demands);
+  // The evaluator's airtime allocator, over the active set.
+  std::vector<double> time_share(num_ext, 0.0);
+  std::vector<std::size_t> idx(active.size());
+  model::detail::MaxMinSharesInPlace(active.data(), active.size(),
+                                     plc_rates.data(), demands.data(),
+                                     time_share.data(), idx.data());
 
   for (std::size_t j : active) {
-    result.plc_share_mbps[j] = shares.time_share[j] * plc_rates[j];
+    result.plc_share_mbps[j] = time_share[j] * plc_rates[j];
     result.extender_mbps[j] =
         std::min(result.wifi_cell_mbps[j], result.plc_share_mbps[j]);
     result.aggregate_mbps += result.extender_mbps[j];

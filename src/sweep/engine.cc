@@ -99,7 +99,6 @@ sim::TrialRecord RunJointTask(const SweepGrid& grid, const TaskSpec& spec,
     jr = assign::SolveJointNaive(net, associate, jopt);
   }
   model::EvalOptions overlap = eval;
-  overlap.wifi_contention_domain.clear();
   overlap.wifi_channel = std::move(jr.channels);
   overlap.carrier_sense_range_m = grid.carrier_sense_range_m;
   return RecordFor(model::Evaluator(overlap), net, jr.assignment);

@@ -1,7 +1,6 @@
 #include "wifi/channels.h"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 #include <stdexcept>
 
@@ -127,37 +126,6 @@ std::vector<int> AssignChannelsWeighted(const model::Network& net,
 
 std::vector<int> SameChannelPlan(const model::Network& net) {
   return std::vector<int>(net.NumExtenders(), 0);
-}
-
-std::vector<int> ContentionDomains(const model::Network& net,
-                                   const std::vector<int>& channels,
-                                   double interference_range_m) {
-  if (channels.size() != net.NumExtenders()) {
-    throw std::invalid_argument("channel vector size mismatch");
-  }
-  const std::size_t n = net.NumExtenders();
-  // Union-find over same-channel interference edges.
-  std::vector<std::size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), 0);
-  std::function<std::size_t(std::size_t)> find =
-      [&](std::size_t x) -> std::size_t {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (const auto& [a, b] : InterferenceEdges(net, interference_range_m)) {
-    if (channels[a] == channels[b]) parent[find(a)] = find(b);
-  }
-  std::vector<int> domain(n, -1);
-  int next_id = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t root = find(v);
-    if (domain[root] < 0) domain[root] = next_id++;
-    domain[v] = domain[root];
-  }
-  return domain;
 }
 
 std::size_t CountConflicts(const model::Network& net,

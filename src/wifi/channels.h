@@ -5,9 +5,10 @@
 // of extenders but not for 15 on one floor with three usable 2.4 GHz
 // channels. This module provides the substrate to (a) assign channels so
 // that nearby extenders avoid each other (greedy graph colouring on the
-// interference graph) and (b) compute the resulting co-channel contention
-// domains, which the evaluator can use to scale WiFi cell throughput
-// (co-channel cells within carrier-sense range time-share the air).
+// interference graph) and (b) count the conflicts a plan leaves. The
+// evaluator derives the resulting co-channel contention domains itself from
+// EvalOptions::wifi_channel (model::CoChannelDomains): co-channel cells
+// within carrier-sense range time-share the air.
 #pragma once
 
 #include <cstddef>
@@ -52,13 +53,6 @@ std::vector<int> AssignChannelsWeighted(const model::Network& net,
 
 // All extenders on one channel (worst case baseline).
 std::vector<int> SameChannelPlan(const model::Network& net);
-
-// Connected components of the co-channel interference graph. Component
-// ids are returned per extender; extenders alone on their channel (or out
-// of range of same-channel peers) form singleton components.
-std::vector<int> ContentionDomains(const model::Network& net,
-                                   const std::vector<int>& channels,
-                                   double interference_range_m);
 
 // Number of same-channel conflicts (interference edges whose endpoints
 // share a channel) — the quantity colouring minimizes.

@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "model/evaluator.h"
 #include "model/network.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
@@ -77,7 +78,8 @@ TEST(ChannelsPropertyTest, IsolatedExtendersFormSingletonComponents) {
   const std::vector<int> plan = AssignChannels(net, {});
   for (int c : plan) EXPECT_EQ(c, 0);
 
-  const std::vector<int> domains = ContentionDomains(net, plan, kRange);
+  std::vector<int> domains;
+  model::CoChannelDomains(net, plan, kRange, domains);
   std::set<int> distinct(domains.begin(), domains.end());
   EXPECT_EQ(distinct.size(), net.NumExtenders());
   EXPECT_EQ(CountConflicts(net, plan, kRange), 0u);

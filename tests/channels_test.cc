@@ -84,27 +84,34 @@ TEST(AssignChannelsTest, BeatsRandomAndSameChannelOnEnterpriseFloor) {
             CountConflicts(net, random, 60.0));
 }
 
-TEST(ContentionDomainsTest, SameChannelNeighboursShareDomain) {
+std::vector<int> Domains(const model::Network& net,
+                         const std::vector<int>& channels, double range_m) {
+  std::vector<int> domains;
+  model::CoChannelDomains(net, channels, range_m, domains);
+  return domains;
+}
+
+TEST(CoChannelDomainsTest, SameChannelNeighboursShareDomain) {
   const model::Network net = LineOfExtenders(4, 50.0);
   // Channels: 0,0,1,1 -> domains {0,1} merged, {2,3} merged.
   const std::vector<int> channels = {0, 0, 1, 1};
-  const auto domains = ContentionDomains(net, channels, 60.0);
+  const auto domains = Domains(net, channels, 60.0);
   EXPECT_EQ(domains[0], domains[1]);
   EXPECT_EQ(domains[2], domains[3]);
   EXPECT_NE(domains[0], domains[2]);
 }
 
-TEST(ContentionDomainsTest, DistinctChannelsAreSingletons) {
+TEST(CoChannelDomainsTest, DistinctChannelsAreSingletons) {
   const model::Network net = LineOfExtenders(3, 10.0);
   const std::vector<int> channels = {0, 1, 2};
-  const auto domains = ContentionDomains(net, channels, 60.0);
+  const auto domains = Domains(net, channels, 60.0);
   std::set<int> unique(domains.begin(), domains.end());
   EXPECT_EQ(unique.size(), 3u);
 }
 
-TEST(ContentionDomainsTest, SizeMismatchThrows) {
+TEST(CoChannelDomainsTest, SizeMismatchThrows) {
   const model::Network net = LineOfExtenders(3, 10.0);
-  EXPECT_THROW(ContentionDomains(net, {0, 1}, 60.0), std::invalid_argument);
+  EXPECT_THROW(Domains(net, {0, 1}, 60.0), std::invalid_argument);
   EXPECT_THROW(CountConflicts(net, {0}, 60.0), std::invalid_argument);
 }
 
@@ -125,7 +132,7 @@ TEST(CoChannelEvaluatorTest, SharedDomainHalvesWifiThroughput) {
   EXPECT_NEAR(free_air, 80.0, 1e-9);
 
   model::EvalOptions shared;
-  shared.wifi_contention_domain = {0, 0};  // same channel, in range
+  shared.wifi_channel = {0, 0};  // same channel, in range (both at origin)
   const double contended =
       model::Evaluator(shared).AggregateThroughput(net, a);
   EXPECT_NEAR(contended, 40.0, 1e-9);  // each cell halved
@@ -139,23 +146,23 @@ TEST(CoChannelEvaluatorTest, IdleCellsDoNotContend) {
   model::Assignment a(1);
   a.Assign(0, 0);
   model::EvalOptions shared;
-  shared.wifi_contention_domain = {0, 0};
+  shared.wifi_channel = {0, 0};
   // Extender 1 has no users: extender 0 keeps the full air.
   EXPECT_NEAR(model::Evaluator(shared).AggregateThroughput(net, a), 40.0,
               1e-9);
 }
 
-TEST(CoChannelEvaluatorTest, BadDomainVectorThrows) {
+TEST(CoChannelEvaluatorTest, BadChannelPlanThrows) {
   model::Network net(1, 2);
   net.SetPlcRate(0, 100.0);
   net.SetWifiRate(0, 0, 10.0);
   model::Assignment a(1);
   a.Assign(0, 0);
   model::EvalOptions opts;
-  opts.wifi_contention_domain = {0};  // wrong size
+  opts.wifi_channel = {0};  // wrong size
   EXPECT_THROW(model::Evaluator(opts).Evaluate(net, a),
                std::invalid_argument);
-  opts.wifi_contention_domain = {-1, 0};
+  opts.wifi_channel = {-1, 0};
   EXPECT_THROW(model::Evaluator(opts).Evaluate(net, a),
                std::invalid_argument);
 }

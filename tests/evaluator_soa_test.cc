@@ -2,10 +2,11 @@
 // 300-scenario randomized corpus (the same instance family the property
 // suite uses — dead backhauls, multiple PLC domains, partial reachability,
 // finite demands, unassigned users), Evaluator::Evaluate must produce a
-// result BIT-IDENTICAL to Evaluator::EvaluateReference in every field,
-// under all three PLC sharing modes and with WiFi co-channel contention.
-// No tolerances anywhere: the SoA kernel is a layout change, not a
-// numerical one, so any ULP of drift is a bug.
+// result BIT-IDENTICAL to the test-only reference (reference_evaluator.h)
+// in every field, under all three PLC sharing modes and with WiFi
+// co-channel contention. No tolerances anywhere: the SoA kernel is a layout
+// change, not a numerical one, so any ULP of drift is a bug. The exhaustive
+// small-scope counterpart is kernel_exhaustive_test.
 //
 // Also pins the scratch contracts the kernel relies on: the cached
 // NetworkSoA view is invalidated by network mutation (Version() bump), and
@@ -21,6 +22,7 @@
 #include "model/evaluator.h"
 #include "model/network.h"
 #include "model/soa.h"
+#include "reference_evaluator.h"
 #include "util/rng.h"
 
 namespace wolt::model {
@@ -120,13 +122,12 @@ class EvaluatorSoaTest : public ::testing::TestWithParam<PlcSharing> {};
 TEST_P(EvaluatorSoaTest, BitIdenticalToReferenceSaturated) {
   util::Rng rng(0x50a0 + static_cast<std::uint64_t>(GetParam()) * 977u);
   EvalScratch fast_scratch;  // warm across scenarios: exercises SoA reuse
-  EvalScratch ref_scratch;
   for (int k = 0; k < kNumScenarios; ++k) {
     const Scenario s = RandomScenario(rng, /*with_demands=*/false);
     Evaluator evaluator(EvalOptions{.plc_sharing = GetParam()});
     const EvalResult fast = evaluator.Evaluate(s.net, s.assign, fast_scratch);
     const EvalResult ref =
-        evaluator.EvaluateReference(s.net, s.assign, ref_scratch);
+        reference::Evaluate(evaluator.options(), s.net, s.assign);
     ExpectBitIdentical(fast, ref, "saturated scenario " + std::to_string(k));
   }
 }
@@ -134,13 +135,12 @@ TEST_P(EvaluatorSoaTest, BitIdenticalToReferenceSaturated) {
 TEST_P(EvaluatorSoaTest, BitIdenticalToReferenceWithDemands) {
   util::Rng rng(0xd0a0 + static_cast<std::uint64_t>(GetParam()) * 977u);
   EvalScratch fast_scratch;
-  EvalScratch ref_scratch;
   for (int k = 0; k < kNumScenarios; ++k) {
     const Scenario s = RandomScenario(rng, /*with_demands=*/true);
     Evaluator evaluator(EvalOptions{.plc_sharing = GetParam()});
     const EvalResult fast = evaluator.Evaluate(s.net, s.assign, fast_scratch);
     const EvalResult ref =
-        evaluator.EvaluateReference(s.net, s.assign, ref_scratch);
+        reference::Evaluate(evaluator.options(), s.net, s.assign);
     ExpectBitIdentical(fast, ref, "demand scenario " + std::to_string(k));
   }
 }
@@ -148,16 +148,15 @@ TEST_P(EvaluatorSoaTest, BitIdenticalToReferenceWithDemands) {
 TEST_P(EvaluatorSoaTest, BitIdenticalUnderWifiContention) {
   util::Rng rng(0xc0a0 + static_cast<std::uint64_t>(GetParam()) * 977u);
   EvalScratch fast_scratch;
-  EvalScratch ref_scratch;
   for (int k = 0; k < kNumScenarios / 3; ++k) {
     const Scenario s = RandomScenario(rng, /*with_demands=*/false);
     EvalOptions opts{.plc_sharing = GetParam()};
-    // All cells share one WiFi channel — the harshest contention layout.
-    opts.wifi_contention_domain.assign(s.net.NumExtenders(), 0);
+    // All cells share one WiFi channel and sit at the origin, within
+    // carrier-sense range of each other — the harshest contention layout.
+    opts.wifi_channel.assign(s.net.NumExtenders(), 0);
     Evaluator evaluator(opts);
     const EvalResult fast = evaluator.Evaluate(s.net, s.assign, fast_scratch);
-    const EvalResult ref =
-        evaluator.EvaluateReference(s.net, s.assign, ref_scratch);
+    const EvalResult ref = reference::Evaluate(opts, s.net, s.assign);
     ExpectBitIdentical(fast, ref, "contention scenario " + std::to_string(k));
   }
 }

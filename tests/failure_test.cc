@@ -97,7 +97,7 @@ TEST(FailureTest, DeadCellStillContendsOnSharedWifiChannel) {
   // the channel.
   model::Network net = testbed::CaseStudyNetwork();
   model::EvalOptions opt;
-  opt.wifi_contention_domain = {0, 0};  // co-channel cells
+  opt.wifi_channel = {0, 0};  // co-channel cells, in range of each other
   const model::Evaluator eval(opt);
 
   model::Assignment camped(2);

@@ -75,9 +75,11 @@ EvalOptions OptionsFor(const ScenarioConfig& cfg, util::Rng& rng) {
   EvalOptions opt;
   opt.plc_sharing = cfg.sharing;
   if (cfg.with_wifi_contention) {
-    opt.wifi_contention_domain.resize(cfg.num_extenders);
+    // Every extender sits at the origin, within carrier-sense range of all
+    // the others, so the co-channel domains are exactly the channel classes.
+    opt.wifi_channel.resize(cfg.num_extenders);
     for (std::size_t j = 0; j < cfg.num_extenders; ++j) {
-      opt.wifi_contention_domain[j] = rng.UniformInt(0, 2);
+      opt.wifi_channel[j] = rng.UniformInt(0, 2);
     }
   }
   return opt;

@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
-#include "plc/timeshare.h"
+#include "model/evaluator.h"
 #include "util/rng.h"
 
 namespace wolt::plc {
@@ -98,12 +99,19 @@ TEST(TdmaTest, ConvergesToFluidMaxMinWithFinerSlots) {
       d[static_cast<std::size_t>(j)] =
           rng.Bernoulli(0.3) ? rng.Uniform(1.0, 40.0) : 1e9;
     }
-    const TimeShareResult fluid = MaxMinTimeShare(r, d);
+    // The fluid limit: the evaluator's max-min airtime allocator.
+    std::vector<int> members(static_cast<std::size_t>(n));
+    for (int j = 0; j < n; ++j) members[static_cast<std::size_t>(j)] = j;
+    std::vector<double> time_share(static_cast<std::size_t>(n));
+    std::vector<std::size_t> idx(static_cast<std::size_t>(n));
+    model::detail::MaxMinSharesInPlace(members.data(), members.size(),
+                                       r.data(), d.data(), time_share.data(),
+                                       idx.data());
     const TdmaSchedule fine = ScheduleTdmaEqual(r, d, {2000});
     for (int j = 0; j < n; ++j) {
-      EXPECT_NEAR(fine.throughput[static_cast<std::size_t>(j)],
-                  fluid.throughput[static_cast<std::size_t>(j)],
-                  0.02 * r[static_cast<std::size_t>(j)] + 0.5)
+      const std::size_t k = static_cast<std::size_t>(j);
+      EXPECT_NEAR(fine.throughput[k], std::min(d[k], time_share[k] * r[k]),
+                  0.02 * r[k] + 0.5)
           << "trial=" << trial << " j=" << j;
     }
   }

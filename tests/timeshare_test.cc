@@ -1,15 +1,54 @@
-#include "plc/timeshare.h"
-
+// Unit and property tests for the in-place PLC airtime allocators the
+// evaluator, the incremental engine and the high-fidelity simulator share
+// (model::detail::MaxMinSharesInPlace / EqualSharesInPlace, dispatched by
+// AllocateAirtime): time-fair sharing of one contention domain (§III-A),
+// with the Fig. 3c max-min re-allocation of leftover airtime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
-#include <stdexcept>
 #include <vector>
 
+#include "model/evaluator.h"
 #include "util/rng.h"
 
-namespace wolt::plc {
+namespace wolt::model {
 namespace {
+
+struct TimeShareResult {
+  std::vector<double> time_share;
+  // Delivered PLC throughput min(d_j, t_j * c_j) per extender.
+  std::vector<double> throughput;
+};
+
+// Runs the allocator for `sharing` over one domain holding every extender.
+TimeShareResult Allocate(PlcSharing sharing, const std::vector<double>& rates,
+                         const std::vector<double>& demands) {
+  const std::size_t n = rates.size();
+  std::vector<int> members(n);
+  std::iota(members.begin(), members.end(), 0);
+  std::vector<std::size_t> idx(n);
+  TimeShareResult r;
+  r.time_share.assign(n, -1.0);  // the allocator must write every member
+  detail::AllocateAirtime(sharing, members.data(), n, rates.data(),
+                          demands.data(), r.time_share.data(), idx.data());
+  r.throughput.resize(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    r.throughput[j] = std::min(demands[j], r.time_share[j] * rates[j]);
+  }
+  return r;
+}
+
+TimeShareResult MaxMinTimeShare(const std::vector<double>& rates,
+                                const std::vector<double>& demands) {
+  return Allocate(PlcSharing::kMaxMinActive, rates, demands);
+}
+
+TimeShareResult EqualTimeShare(const std::vector<double>& rates,
+                               const std::vector<double>& demands) {
+  return Allocate(PlcSharing::kEqualActive, rates, demands);
+}
 
 TEST(MaxMinTimeShareTest, SingleBackloggedExtenderGetsNeededTime) {
   // One extender with demand below capacity uses only the time it needs.
@@ -77,16 +116,19 @@ TEST(MaxMinTimeShareTest, CascadedRedistribution) {
   EXPECT_NEAR(r.throughput[2], r.time_share[2] * 30.0, 1e-9);
 }
 
-TEST(MaxMinTimeShareTest, InputValidation) {
-  EXPECT_THROW(
-      MaxMinTimeShare(std::vector<double>{1.0}, std::vector<double>{1.0, 2.0}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      MaxMinTimeShare(std::vector<double>{-1.0}, std::vector<double>{1.0}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      MaxMinTimeShare(std::vector<double>{0.0}, std::vector<double>{1.0}),
-      std::invalid_argument);
+TEST(MaxMinTimeShareTest, OnlyListedMembersAreTouched) {
+  // A domain is a member list into per-extender arrays: extenders outside
+  // it keep whatever the caller's arrays hold.
+  const std::vector<double> rates = {60.0, 50.0, 20.0};
+  const std::vector<double> demands = {15.0, 1e9, 20.0};
+  const int members[] = {0, 2};
+  std::vector<double> time_share = {-1.0, 7.0, -1.0};
+  std::vector<std::size_t> idx(2);
+  detail::MaxMinSharesInPlace(members, 2, rates.data(), demands.data(),
+                              time_share.data(), idx.data());
+  EXPECT_NEAR(time_share[0], 0.25, 1e-12);
+  EXPECT_EQ(time_share[1], 7.0);
+  EXPECT_NEAR(time_share[2], 0.75, 1e-12);
 }
 
 TEST(EqualTimeShareTest, StrictShares) {
@@ -114,7 +156,19 @@ TEST(EqualTimeShareTest, EmptyAndAllIdle) {
   const std::vector<double> rates = {10.0};
   const std::vector<double> demands = {0.0};
   const TimeShareResult r1 = EqualTimeShare(rates, demands);
+  EXPECT_DOUBLE_EQ(r1.time_share[0], 0.0);
   EXPECT_DOUBLE_EQ(r1.throughput[0], 0.0);
+}
+
+TEST(EqualTimeShareTest, EqualAllCountsIdleExtenders) {
+  // The kEqualAll planning model: 1/|A| of airtime per active extender with
+  // |A| counting the idle one too; the idle extender still gets nothing.
+  const std::vector<double> rates = {60.0, 60.0, 60.0};
+  const std::vector<double> demands = {0.0, 100.0, 100.0};
+  const TimeShareResult r = Allocate(PlcSharing::kEqualAll, rates, demands);
+  EXPECT_DOUBLE_EQ(r.time_share[0], 0.0);
+  EXPECT_DOUBLE_EQ(r.time_share[1], 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(r.time_share[2], 1.0 / 3.0);
 }
 
 // Properties that must hold for any random instance.
@@ -159,4 +213,4 @@ TEST_P(TimeShareProperty, InvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TimeShareProperty, ::testing::Range(1, 41));
 
 }  // namespace
-}  // namespace wolt::plc
+}  // namespace wolt::model
